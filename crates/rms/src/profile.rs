@@ -10,7 +10,7 @@
 //! The break points are stored in fixed-size *chunks* (a paged sorted
 //! array). Three flat arrays, indexed by chunk position, summarise each
 //! chunk: its first point's time (`first_time`, the binary-search key)
-//! and the minimum / maximum `free` over its segments (`min_free` /
+//! and a lower / upper bound on `free` over its segments (`min_free` /
 //! `max_free`). [`Profile::earliest_fit`] answers "first instant ≥ t
 //! where `width` processors stay free for `duration`" with a fused
 //! two-state sweep: a single forward pass that alternates between
@@ -22,13 +22,21 @@
 //! chunks with `min_free >= width` (and settles as soon as
 //! `first_time >= end`), a seek skips chunks with `max_free < width`.
 //!
+//! The summaries are **maintained bounds**, not exact extremes:
+//! `min_free[c] <= free <= max_free[c]` for every point of chunk `c`.
+//! Bounds are all the skips need. A verify skip is sound because
+//! `min_free >= width` puts every point at or above `width`, so the
+//! chunk holds no blocker; a seek skip is sound because
+//! `max_free < width` puts every point below `width`, so it holds no
+//! candidate. A loose bound only costs a scan of the chunk, never a
+//! wrong answer.
+//!
 //! The summaries are deliberately plain arrays rather than a search
 //! tree: measured scan dynamics on planner workloads show verify/seek
 //! runs of only a handful of points (the profile alternates tight and
 //! free segments at exactly the widths being placed), so tree descents
 //! or finger structures cannot amortise — while a forward sweep over
-//! contiguous 4-byte entries lets hardware prefetch do the work, and
-//! every update stays O(1) per touched chunk.
+//! contiguous 4-byte entries lets hardware prefetch do the work.
 //!
 //! What *does* go sublinear is the query stream, via a **dominance
 //! memo** on [`Profile::allocate_earliest`] (see its doc comment):
@@ -42,13 +50,26 @@
 //!
 //! The update path reuses the fit's position: [`Profile::allocate_earliest`]
 //! threads the (chunk, index) of the found segment straight into a
-//! single forward walk that inserts the two break points, decrements the
-//! covered segments, and refreshes summaries as it goes — a fully
-//! covered chunk shifts its summary by `width` without rescanning its
-//! points. Chunk splits append the upper half to the arena (no
-//! kilobyte-sized memmove of sibling chunks) and shift only the small
-//! per-chunk array entries. `restore_from` stays a flat `memcpy` of the
-//! chunk storage and summary arrays, preserving the shared-base-profile
+//! single forward walk that inserts the two break points and decrements
+//! the covered segments. The walk costs O(covered points) plus, per
+//! insert, the in-chunk shift of at most `CHUNK_CAP` entries; keeping
+//! the bounds on top of that is O(1) per touched chunk, with no
+//! rescans: the decremented values can only lower the min, a fully
+//! covered chunk shifts its max by `width` and takes its new min from
+//! the walk, and an inserted point widens its chunk's bounds to cover
+//! its value. Only `rebuild_from_spans` and the chunk split recompute
+//! bounds exactly (one sweep of at most `CHUNK_CAP` values per chunk).
+//! Scans tighten bounds for free: a seek that reads a whole chunk
+//! without a candidate proves its max is below `width`, a verify that
+//! reads one without a blocker proves its min is at least `width`;
+//! `allocate_earliest` records both, so deep profiles keep skipping
+//! the chunks a pass has narrowed, while the `&self`
+//! [`Profile::earliest_fit`] stays read-only.
+//!
+//! Chunk splits append the upper half to the arena (no kilobyte-sized
+//! memmove of sibling chunks) and shift only the small per-chunk array
+//! entries. `restore_from` stays a flat `memcpy` of the chunk storage
+//! and summary arrays, preserving the shared-base-profile
 //! watermark-restore trick of the incremental planner. A profile that
 //! fits one chunk degenerates to the plain linear scan, so small
 //! profiles pay (almost) nothing for the index.
@@ -66,8 +87,8 @@
 //! * the final point's free value equals the full capacity (every
 //!   reservation ends eventually);
 //! * every chunk holds at least one point; `first_time[c]` equals the
-//!   chunk's first point time, and `min_free[c]` / `max_free[c]` equal
-//!   the min/max free over its points.
+//!   chunk's first point time, and `min_free[c]` / `max_free[c]` bound
+//!   the free values of its points from below / above.
 
 use dynp_des::{SimDuration, SimTime};
 
@@ -169,9 +190,11 @@ pub struct Profile {
     /// binary-search key for `seg_pos` and the gap test of the
     /// allocation walk.
     first_time: Vec<SimTime>,
-    /// Per chunk position: minimum `free` over the chunk's points.
+    /// Per chunk position: a lower bound on `free` over the chunk's
+    /// points (see the module docs for how it is kept).
     min_free: Vec<u32>,
-    /// Per chunk position: maximum `free` over the chunk's points.
+    /// Per chunk position: an upper bound on `free` over the chunk's
+    /// points (see the module docs for how it is kept).
     max_free: Vec<u32>,
     /// Per width class (`ilog2(width)`): the last
     /// [`Profile::allocate_earliest`] query and its answer. Valid as a
@@ -179,6 +202,9 @@ pub struct Profile {
     /// allocation only narrows the profile (see `allocate_earliest`).
     /// Cleared whenever the profile is rebuilt or restored.
     memo: [MemoSlot; 32],
+    /// Scratch for the whole-chunk facts an `allocate_earliest` scan
+    /// proves in passing (see `fit_pos`); empty between calls.
+    proofs: Vec<(usize, bool)>,
 }
 
 impl Profile {
@@ -195,6 +221,7 @@ impl Profile {
             min_free: Vec::new(),
             max_free: Vec::new(),
             memo: [MEMO_EMPTY; 32],
+            proofs: Vec::new(),
         };
         p.init_single(capacity, origin);
         p
@@ -304,7 +331,7 @@ impl Profile {
             }
         }
         for c in 0..self.n_chunks() {
-            self.refresh_summary(c);
+            self.exact_bounds(c);
         }
         self.assert_invariants();
     }
@@ -403,10 +430,11 @@ impl Profile {
         (c, i)
     }
 
-    /// Recomputes the summary-array entry of chunk position `c` from its
+    /// Recomputes the bounds of chunk position `c` exactly from its
     /// points (one vectorisable min/max sweep over at most `CHUNK_CAP`
-    /// 4-byte entries).
-    fn refresh_summary(&mut self, c: usize) {
+    /// 4-byte entries). Only `rebuild_from_spans` and `split_chunk` pay
+    /// for it; every other update keeps the bounds in O(1).
+    fn exact_bounds(&mut self, c: usize) {
         let ch = &self.arena[self.order[c] as usize];
         let mut lo = u32::MAX;
         let mut hi = 0;
@@ -430,11 +458,19 @@ impl Profile {
     /// access at all: if any of its points reaches past the window's
     /// close, the next scanned point's time check settles the window,
     /// because times increase strictly across chunks.
+    ///
+    /// A chunk read from its first point to its last without a state
+    /// change proves a bound the summaries may have lost: a seek found
+    /// no `free >= width` (its max is below `width`), a verify found no
+    /// `free < width` (its min is at least `width`). With `proofs`, each
+    /// such chunk is pushed as `(c, seeking)` for the caller to record;
+    /// without, the scan stays read-only.
     fn fit_pos(
         &self,
         after: SimTime,
         duration: SimDuration,
         width: u32,
+        mut proofs: Option<&mut Vec<(usize, bool)>>,
     ) -> (usize, usize, SimTime) {
         assert!(
             width <= self.capacity,
@@ -492,6 +528,7 @@ impl Profile {
             let len = ch.len as usize;
             let frees = &ch.frees[..len];
             let mut k = i;
+            let mut flipped = false;
             while k < len {
                 if seeking {
                     while k < len && frees[k] < width {
@@ -517,7 +554,13 @@ impl Profile {
                     }
                     seeking = true;
                 }
+                flipped = true;
                 k += 1;
+            }
+            if i == 0 && !flipped {
+                if let Some(proofs) = proofs.as_deref_mut() {
+                    proofs.push((c, seeking));
+                }
             }
             c += 1;
             i = 0;
@@ -534,17 +577,16 @@ impl Profile {
     /// # Panics
     /// Panics if `width` exceeds the machine capacity.
     pub fn earliest_fit(&self, after: SimTime, duration: SimDuration, width: u32) -> SimTime {
-        self.fit_pos(after, duration, width).2
+        self.fit_pos(after, duration, width, None).2
     }
 
     // ------------------------------------------------------------------
     // Updates.
 
     /// Inserts `pt` at in-chunk index `i` of chunk position `c`
-    /// (`0 <= i <= len`), splitting the chunk first when full. Returns
-    /// the final (chunk position, in-chunk index) of the inserted point.
-    /// The target chunk's summary is left stale for the caller to
-    /// refresh (split siblings are refreshed in `split_chunk`).
+    /// (`0 <= i <= len`), splitting the chunk first when full, and
+    /// widens the target chunk's bounds to cover `pt.free`. Returns the
+    /// final (chunk position, in-chunk index) of the inserted point.
     fn insert_point(&mut self, mut c: usize, mut i: usize, pt: ProfilePoint) -> (usize, usize) {
         const HALF: usize = CHUNK_CAP / 2;
         if self.chunk(c).len as usize == CHUNK_CAP {
@@ -566,13 +608,15 @@ impl Profile {
         if i == 0 {
             self.first_time[c] = pt.time;
         }
+        self.min_free[c] = self.min_free[c].min(pt.free);
+        self.max_free[c] = self.max_free[c].max(pt.free);
         (c, i)
     }
 
     /// Splits the full chunk at position `c` into two half chunks. The
     /// upper half is appended to the arena (no kilobyte-sized memmove of
     /// sibling chunks); only the 4-byte order and summary entries shift,
-    /// and both halves' summaries are refreshed here.
+    /// and both halves' bounds are recomputed exactly.
     fn split_chunk(&mut self, c: usize) {
         const HALF: usize = CHUNK_CAP / 2;
         let id = self.order[c] as usize;
@@ -591,17 +635,18 @@ impl Profile {
         self.first_time.insert(c + 1, hi_first);
         self.min_free.insert(c + 1, 0);
         self.max_free.insert(c + 1, 0);
-        self.refresh_summary(c);
-        self.refresh_summary(c + 1);
+        self.exact_bounds(c);
+        self.exact_bounds(c + 1);
     }
 
     /// Carves `width` processors out of `[start, end)`, given the
     /// position `(c, i)` of the segment containing `start` (from
     /// `fit_pos` or `seg_pos`). One forward walk: the bounding break
     /// points are inserted as encountered, covered segments are
-    /// decremented, and chunk summaries refresh in place — a fully
-    /// covered chunk shifts its summary by `width` without rescanning
-    /// its points.
+    /// decremented, and each touched chunk's bounds are kept in O(1)
+    /// without rescanning its points: the decremented values can only
+    /// lower the min, a fully covered chunk also shifts its max by
+    /// `width`, and `insert_point` widens for the inserted values.
     ///
     /// # Panics
     /// Panics if any covered segment has fewer than `width` free.
@@ -622,17 +667,14 @@ impl Profile {
                 },
             )
         };
-        // The chunk the walk starts in is always rescanned: the insert
-        // above may have left its summary stale, and the walk may cover
-        // it only partially.
-        let start_chunk = c;
         // Pre-decrement free value of the last covered segment — the
         // value the profile returns to when the reservation ends.
         let mut prev_free = 0;
         loop {
-            let ch = self.chunk_mut(c);
+            let ch = &mut self.arena[self.order[c] as usize];
             let len = ch.len as usize;
             let entered_at = i;
+            let mut lo = u32::MAX;
             while i < len && ch.times[i] < end {
                 let f = ch.frees[i];
                 assert!(
@@ -641,13 +683,23 @@ impl Profile {
                     ch.times[i]
                 );
                 prev_free = f;
+                lo = lo.min(f - width);
                 ch.frees[i] = f - width;
                 i += 1;
             }
+            if entered_at == 0 && i == len {
+                // Every point dropped by `width`: `lo` is the exact new
+                // min, and the max (at least `width`, as it bounds the
+                // covered values) shifts down with them.
+                self.min_free[c] = lo;
+                self.max_free[c] -= width;
+            } else {
+                self.min_free[c] = self.min_free[c].min(lo);
+            }
             if i < len {
                 // A point at or past `end` stops the walk in this chunk.
-                if self.chunk(c).times[i] > end {
-                    let (c2, _) = self.insert_point(
+                if ch.times[i] > end {
+                    self.insert_point(
                         c,
                         i,
                         ProfilePoint {
@@ -655,24 +707,10 @@ impl Profile {
                             free: prev_free,
                         },
                     );
-                    self.refresh_summary(c2);
-                    if c2 != c {
-                        self.refresh_summary(c);
-                    }
-                } else {
-                    self.refresh_summary(c);
                 }
                 return;
             }
             // Chunk consumed to its end.
-            if entered_at == 0 && c != start_chunk {
-                // Fully covered and untouched by inserts: both summary
-                // extremes drop by exactly `width`.
-                self.min_free[c] -= width;
-                self.max_free[c] -= width;
-            } else {
-                self.refresh_summary(c);
-            }
             c += 1;
             if c == self.n_chunks() {
                 // Ran past the horizon: close the reservation with a new
@@ -680,7 +718,7 @@ impl Profile {
                 // full capacity, by the horizon invariant).
                 let lc = c - 1;
                 let li = self.chunk(lc).len as usize;
-                let (c2, _) = self.insert_point(
+                self.insert_point(
                     lc,
                     li,
                     ProfilePoint {
@@ -688,17 +726,13 @@ impl Profile {
                         free: prev_free,
                     },
                 );
-                self.refresh_summary(c2);
-                if c2 != lc {
-                    self.refresh_summary(lc);
-                }
                 return;
             }
             if self.first_time[c] >= end {
                 if self.first_time[c] > end {
                     // `end` falls in the gap before this chunk: the
                     // closing point becomes its new first point.
-                    let (c2, _) = self.insert_point(
+                    self.insert_point(
                         c,
                         0,
                         ProfilePoint {
@@ -706,7 +740,6 @@ impl Profile {
                             free: prev_free,
                         },
                     );
-                    self.refresh_summary(c2);
                 }
                 return;
             }
@@ -766,7 +799,7 @@ impl Profile {
         width: u32,
     ) -> SimTime {
         if duration.is_zero() || width == 0 {
-            return self.fit_pos(after, duration, width).2;
+            return self.fit_pos(after, duration, width, None).2;
         }
         let class = (31 - width.leading_zeros()) as usize;
         let mut from = after;
@@ -778,7 +811,17 @@ impl Profile {
         {
             from = from.max(slot.answer);
         }
-        let (c, i, start) = self.fit_pos(from, duration, width);
+        let mut proofs = std::mem::take(&mut self.proofs);
+        let (c, i, start) = self.fit_pos(from, duration, width, Some(&mut proofs));
+        for &(pc, seeking) in &proofs {
+            if seeking {
+                self.max_free[pc] = self.max_free[pc].min(width - 1);
+            } else {
+                self.min_free[pc] = self.min_free[pc].max(width);
+            }
+        }
+        proofs.clear();
+        self.proofs = proofs;
         // The slot records `after`, not `from`: on a hit the old slot
         // already proved `[after, from)` fit-free for this (dominating)
         // query, and the scan just proved `[from, start)`, so the union
@@ -795,8 +838,19 @@ impl Profile {
         start
     }
 
+    /// Whether chunk position `c`'s summary bounds its points:
+    /// `min_free[c] <= free <= max_free[c]` for every point.
+    #[cfg(any(test, debug_assertions))]
+    fn bounds_hold(&self, c: usize) -> bool {
+        let frees = self.chunk(c).frees();
+        frees
+            .iter()
+            .all(|&f| self.min_free[c] <= f && f <= self.max_free[c])
+    }
+
     /// Debug-build invariant check: strictly increasing times, free in
-    /// range, full capacity at the horizon, fresh summary arrays.
+    /// range, full capacity at the horizon, summaries that bound their
+    /// chunks.
     fn assert_invariants(&self) {
         #[cfg(debug_assertions)]
         {
@@ -825,12 +879,12 @@ impl Profile {
                     self.first_time[c], ch.times[0],
                     "stale first-time on chunk {c}"
                 );
-                let lo = ch.frees().iter().copied().min().unwrap();
-                let hi = ch.frees().iter().copied().max().unwrap();
-                assert_eq!(
-                    (self.min_free[c], self.max_free[c]),
-                    (lo, hi),
-                    "stale summary on chunk {c}"
+                assert!(
+                    self.bounds_hold(c),
+                    "summary [{}, {}] does not bound chunk {c}: {:?}",
+                    self.min_free[c],
+                    self.max_free[c],
+                    ch.frees()
                 );
             }
         }
@@ -1068,6 +1122,175 @@ mod tests {
         }
     }
 
+    /// Spans that give `frees[k]` free processors on `[10k, 10k + 10)`
+    /// seconds and the full `capacity` after: one break point per entry
+    /// as long as neighbouring entries differ.
+    fn spans_for(capacity: u32, frees: &[u32]) -> Vec<(SimTime, SimTime, u32)> {
+        frees
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f < capacity)
+            .map(|(k, &f)| (t(10 * k as u64), t(10 * k as u64 + 10), capacity - f))
+            .collect()
+    }
+
+    /// The same span set swept into an indexed profile and the oracle.
+    fn built(capacity: u32, frees: &[u32]) -> (Profile, NaiveProfile) {
+        let spans = spans_for(capacity, frees);
+        let mut scratch = Vec::new();
+        let mut p = Profile::new(1, t(0));
+        p.rebuild_from_spans(capacity, t(0), &spans, &mut scratch);
+        let mut oracle = NaiveProfile::new(1, t(0));
+        oracle.rebuild_from_spans(capacity, t(0), &spans, &mut scratch);
+        (p, oracle)
+    }
+
+    fn assert_bounded(p: &Profile) {
+        for c in 0..p.n_chunks() {
+            assert!(
+                p.bounds_hold(c),
+                "summary [{}, {}] does not bound chunk {c}: {:?}",
+                p.min_free[c],
+                p.max_free[c],
+                p.chunk(c).frees()
+            );
+        }
+    }
+
+    fn assert_fits_match(p: &Profile, oracle: &NaiveProfile, queries: &[(u64, u64, u32)]) {
+        for &(after, dur, w) in queries {
+            assert_eq!(
+                p.earliest_fit(t(after), d(dur), w),
+                oracle.earliest_fit(t(after), d(dur), w),
+                "fit differs for after={after} dur={dur} w={w}"
+            );
+        }
+    }
+
+    /// A chunk whose min bound is already below `width` and that a
+    /// reservation then covers completely: the bound must not underflow
+    /// and must still bound the shifted points.
+    #[test]
+    fn fully_covered_chunk_with_loose_min_does_not_underflow() {
+        let capacity = 16;
+        // Chunk 0: 10/12 alternating; chunk 1: 6/8 alternating; chunk 2:
+        // the final full-capacity point at 1280 s.
+        let frees: Vec<u32> = (0..128)
+            .map(|k| {
+                if k < 64 {
+                    10 + 2 * (k % 2)
+                } else {
+                    6 + 2 * (k % 2)
+                }
+            })
+            .collect();
+        let (mut p, mut oracle) = built(capacity, &frees);
+        assert_eq!(p.n_chunks(), 3);
+        // Any lower bound is a valid summary; make chunk 1's loose.
+        p.min_free[1] = 0;
+        p.allocate(t(640), d(640), 4);
+        oracle.allocate(t(640), d(640), 4);
+        assert_bounded(&p);
+        assert!(p.max_free[1] < 5, "fully covered max must shift by width");
+        assert_eq!(p.to_points(), oracle.points());
+        assert_fits_match(
+            &p,
+            &oracle,
+            &[
+                (0, 10, 5),
+                (0, 700, 2),
+                (600, 50, 3),
+                (640, 10, 5),
+                (700, 30, 16),
+            ],
+        );
+    }
+
+    /// The closing point lands at index 0 of the next chunk and carries
+    /// more free processors than that chunk's old max: the max bound
+    /// must widen, or a seek would skip the chunk and miss the fit.
+    #[test]
+    fn closing_point_at_next_chunk_start_widens_its_max() {
+        let capacity = 16;
+        // Chunk 0: 8/10 alternating, ending on 10 at 630 s; chunk 1: 2/3
+        // alternating; then the full-capacity final point.
+        let frees: Vec<u32> = (0..128)
+            .map(|k| if k < 64 { 8 + 2 * (k % 2) } else { 2 + (k % 2) })
+            .collect();
+        let (mut p, mut oracle) = built(capacity, &frees);
+        // Split the low chunk first so the closing insert below does not
+        // (a split recomputes its bounds exactly).
+        p.allocate(t(645), d(2), 1);
+        oracle.allocate(t(645), d(2), 1);
+        assert_eq!(p.n_chunks(), 4);
+        assert!(p.max_free[1] < 10);
+        // [630, 635) ends in the gap before chunk 1's first point (640 s).
+        p.allocate(t(630), d(5), 1);
+        oracle.allocate(t(630), d(5), 1);
+        assert_eq!(p.first_time[1], t(635), "closing point must open chunk 1");
+        assert_bounded(&p);
+        assert_eq!(p.to_points(), oracle.points());
+        // Width 10 fits only in [635, 640), reached by a seek from 630 s.
+        assert_eq!(p.earliest_fit(t(630), d(5), 10), t(635));
+        assert_fits_match(
+            &p,
+            &oracle,
+            &[(0, 5, 10), (600, 5, 9), (0, 2, 3), (0, 50, 4)],
+        );
+    }
+
+    /// The closing point goes in at the horizon after the walk covered
+    /// the whole final chunk: its max must return to full capacity.
+    #[test]
+    fn closing_point_at_horizon_widens_the_last_chunk() {
+        let capacity = 16;
+        // Chunk 0: 64 points below capacity; chunk 1: the final point.
+        let frees: Vec<u32> = (0..64).map(|k| 4 + 2 * (k % 2)).collect();
+        let (mut p, mut oracle) = built(capacity, &frees);
+        assert_eq!((p.n_chunks(), p.chunk(1).len), (2, 1));
+        p.allocate(t(640), d(100), 4);
+        oracle.allocate(t(640), d(100), 4);
+        assert_bounded(&p);
+        assert_eq!(p.max_free[1], capacity);
+        assert_eq!(p.to_points(), oracle.points());
+        // A full-width job seeks through chunk 0 into chunk 1.
+        assert_eq!(p.earliest_fit(t(0), d(50), capacity), t(740));
+        assert_fits_match(&p, &oracle, &[(0, 50, 13), (0, 50, 12), (500, 300, 7)]);
+    }
+
+    /// Scans tighten loose bounds only through `allocate_earliest`; the
+    /// `&self` query leaves the summaries as they were.
+    #[test]
+    fn allocate_earliest_records_scan_proofs_and_earliest_fit_does_not() {
+        let capacity = 64;
+        let mut p = Profile::new(capacity, t(0));
+        // A comb of teeth with one processor free, then one processor
+        // taken throughout, so nothing is fully free before 4000 s.
+        for k in 0..200u64 {
+            p.allocate(t(20 * k), d(10), 63);
+        }
+        p.allocate(t(0), d(4_000), 1);
+        assert!(p.n_chunks() > 4);
+        // Loosen every max bound but the last chunk's (full capacity).
+        let last = p.n_chunks() - 1;
+        for c in 0..last {
+            p.max_free[c] = capacity;
+        }
+        // A full-width job must seek past every tooth and gap.
+        let before = p.max_free.clone();
+        let fit = p.earliest_fit(t(5), d(100), capacity);
+        assert_eq!(fit, t(4_000));
+        assert_eq!(p.max_free, before, "earliest_fit must stay read-only");
+        assert_eq!(p.allocate_earliest(t(5), d(100), capacity), fit);
+        assert_bounded(&p);
+        // The chunks the seek read whole now skip full-width seeks.
+        assert!(
+            (1..last).all(|c| p.max_free[c] < capacity),
+            "seek proofs not recorded: {:?}",
+            p.max_free
+        );
+    }
+
     proptest! {
         /// Random allocate_earliest sequences never violate profile
         /// invariants and always place each reservation at a feasible,
@@ -1222,6 +1445,79 @@ mod tests {
                 }
                 prop_assert_eq!(p.capacity(), oracle.capacity());
                 prop_assert_eq!(p.len(), oracle.points().len());
+            }
+            prop_assert_eq!(p.to_points(), oracle.points().to_vec());
+        }
+
+        /// Summaries stay bounds through every kind of update: long
+        /// random sequences of allocate / allocate_earliest / restore_from
+        /// / rebuild_from_spans grow profiles past one chunk, and after
+        /// every operation each chunk's summary bounds its points and a
+        /// fit query answers like the oracle.
+        #[test]
+        fn summaries_bound_chunks_under_mixed_updates(
+            ops in proptest::collection::vec(
+                (0u8..40, 1u32..17, 0u64..4_000, 1u64..700),
+                100..400,
+            ),
+            origin in 0u64..50,
+        ) {
+            let capacity = 16u32;
+            let mut p = Profile::new(capacity, t(origin));
+            let mut oracle = NaiveProfile::new(capacity, t(origin));
+            let mut base = Profile::new(capacity, t(origin));
+            let mut oracle_base = NaiveProfile::new(capacity, t(origin));
+            // Reservations placed since the last rebuild: any prefix is a
+            // feasible span set to rebuild from. Roll-backs are rare
+            // enough that nearly every case grows past one chunk (2 to 7
+            // chunks at the peak across the default 64 cases).
+            let mut placed: Vec<(SimTime, SimTime, u32)> = Vec::new();
+            let mut base_placed = Vec::new();
+            let mut scratch = Vec::new();
+            for (kind, w, after, dur) in ops {
+                match kind {
+                    0..=23 => {
+                        let a = p.allocate_earliest(t(after), d(dur), w);
+                        let b = oracle.allocate_earliest(t(after), d(dur), w);
+                        prop_assert_eq!(a, b, "allocate_earliest diverged");
+                        placed.push((a, a.saturating_add(d(dur)), w));
+                    }
+                    24..=35 => {
+                        let a = oracle.earliest_fit(t(after), d(dur), w);
+                        p.allocate(a, d(dur), w);
+                        oracle.allocate(a, d(dur), w);
+                        placed.push((a, a.saturating_add(d(dur)), w));
+                    }
+                    36 => {
+                        base.restore_from(&p);
+                        oracle_base.restore_from(&oracle);
+                        base_placed.clone_from(&placed);
+                    }
+                    37 => {
+                        p.restore_from(&base);
+                        oracle.restore_from(&oracle_base);
+                        placed.clone_from(&base_placed);
+                    }
+                    _ => {
+                        placed.truncate(placed.len().saturating_sub(after as usize % 4));
+                        p.rebuild_from_spans(capacity, t(origin), &placed, &mut scratch);
+                        oracle.rebuild_from_spans(capacity, t(origin), &placed, &mut scratch);
+                    }
+                }
+                for c in 0..p.n_chunks() {
+                    prop_assert!(
+                        p.bounds_hold(c),
+                        "summary [{}, {}] does not bound chunk {}: {:?}",
+                        p.min_free[c], p.max_free[c], c, p.chunk(c).frees()
+                    );
+                }
+                for (qa, qd, qw) in [(after, dur, w), (after / 3, dur / 2 + 1, capacity - w + 1)] {
+                    prop_assert_eq!(
+                        p.earliest_fit(t(qa), d(qd), qw),
+                        oracle.earliest_fit(t(qa), d(qd), qw),
+                        "earliest_fit diverged"
+                    );
+                }
             }
             prop_assert_eq!(p.to_points(), oracle.points().to_vec());
         }

@@ -29,9 +29,9 @@
 //! stdout and exits 0.
 
 use dynp_serve::{
-    parse_request, parse_scheduler, read_journal_header, recover, render_reply, spawn, Command,
-    FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply, Request, ServiceConfig,
-    ServiceHandle, ServiceReport, SubmitError,
+    parse_request, parse_scheduler, read_journal_header, read_request_line, recover, render_reply,
+    spawn, Command, FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply, Request,
+    RequestLine, ServiceConfig, ServiceHandle, ServiceReport, SubmitError, MAX_LINE,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -229,6 +229,25 @@ fn roundtrip(
     }
 }
 
+/// Reads the next non-blank request line (at most [`MAX_LINE`] bytes)
+/// and returns its reply line; `None` at end of stream or on a read
+/// error. An over-long or non-UTF-8 line gets an `invalid` reply.
+fn next_reply(
+    reader: &mut impl BufRead,
+    tx: &mpsc::Sender<Command>,
+    done: &AtomicBool,
+) -> Option<String> {
+    loop {
+        match read_request_line(reader, MAX_LINE).ok()?? {
+            RequestLine::Line(line) if line.trim().is_empty() => {}
+            RequestLine::Line(line) => return Some(handle_line(tx, &line, done)),
+            RequestLine::Invalid(why) => {
+                return Some(render_reply(&Reply::Rejected(SubmitError::Invalid(why))))
+            }
+        }
+    }
+}
+
 /// Handles one request line and returns the reply line.
 fn handle_line(tx: &mpsc::Sender<Command>, line: &str, done: &AtomicBool) -> String {
     match parse_request(line) {
@@ -250,12 +269,8 @@ fn serve_connection(stream: UnixStream, handle: ServiceHandle, done: Arc<AtomicB
     };
     let tx = handle.sender();
     let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = handle_line(&tx, &line, &done);
+    let mut reader = BufReader::new(reader);
+    while let Some(reply) = next_reply(&mut reader, &tx, &done) {
         if writeln!(writer, "{reply}").is_err() {
             break;
         }
@@ -291,13 +306,8 @@ fn serve_socket(path: PathBuf, handle: ServiceHandle, done: Arc<AtomicBool>) {
 fn serve_stdin(handle: ServiceHandle, done: Arc<AtomicBool>) {
     std::thread::spawn(move || {
         let tx = handle.sender();
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = handle_line(&tx, &line, &done);
+        let mut stdin = std::io::stdin().lock();
+        while let Some(reply) = next_reply(&mut stdin, &tx, &done) {
             let mut out = std::io::stdout().lock();
             if writeln!(out, "{reply}").and_then(|()| out.flush()).is_err() {
                 break;

@@ -1390,7 +1390,8 @@ mod tests {
     #[test]
     fn header_only_read_matches_the_full_read() {
         let dir = tmpdir("hdr");
-        let mut w = JournalWriter::create(&dir, 48, 250, "easy:4", FsyncPolicy::Never, 200).unwrap();
+        let mut w =
+            JournalWriter::create(&dir, 48, 250, "easy:4", FsyncPolicy::Never, 200).unwrap();
         for i in 0..10u64 {
             w.append(&submit(i, i)).unwrap();
         }

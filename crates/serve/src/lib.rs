@@ -52,7 +52,7 @@ pub use journal::{
     sweep_checkpoint_temps, FsyncPolicy, JournalDir, JournalError, JournalHeader, JournalRecord,
     JournalWriter,
 };
-pub use proto::{parse_request, render_reply, Request};
+pub use proto::{parse_request, read_request_line, render_reply, Request, RequestLine, MAX_LINE};
 pub use session::{
     jobs_of_records, replay_records, replay_session, service_fingerprint, session_machine_size,
     session_scheduler, validate_replay_suffix, ReplayError, SessionReplay,

@@ -31,6 +31,23 @@
 use crate::api::{Reply, SubmitError, SubmitSpec};
 use dynp_des::SimDuration;
 use dynp_obs::parse::Json;
+use std::io::{self, BufRead, Read};
+
+/// Longest request line a server reads, newline excluded. A valid
+/// request is well under 200 bytes; the cap bounds what one hostile
+/// line can make the server buffer.
+pub const MAX_LINE: usize = 64 * 1024;
+
+/// One request line as read by [`read_request_line`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RequestLine {
+    /// A complete line, line terminator stripped.
+    Line(String),
+    /// A line the server will not parse (over the cap, or not UTF-8),
+    /// with the reason for the client's `invalid` reply. The whole line
+    /// has been consumed, so the next read starts at the next line.
+    Invalid(String),
+}
 
 /// A parsed client request (the transport-free half of
 /// [`crate::api::Command`]).
@@ -147,11 +164,90 @@ pub fn render_reply(reply: &Reply) -> String {
     }
 }
 
+/// Reads one request line of at most `cap` bytes (`\n` or `\r\n`
+/// excluded) without ever buffering more than `cap + 1` bytes of it.
+/// `Ok(None)` is end of stream; a final line without a newline counts
+/// as a line. A longer line is discarded up to and including its
+/// newline and reported as [`RequestLine::Invalid`], so the caller can
+/// reply and keep serving the connection.
+pub fn read_request_line<R: BufRead>(
+    reader: &mut R,
+    cap: usize,
+) -> io::Result<Option<RequestLine>> {
+    let mut buf = Vec::new();
+    if reader.take(cap as u64 + 1).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > cap {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(RequestLine::Invalid(format!(
+            "request line exceeds {cap} bytes"
+        ))));
+    }
+    Ok(Some(match String::from_utf8(buf) {
+        Ok(line) => RequestLine::Line(line),
+        Err(_) => RequestLine::Invalid("request line is not UTF-8".into()),
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{OverloadReason, ServiceStatus, Ticket};
     use dynp_des::SimTime;
+
+    fn lines_of(input: &[u8], cap: usize) -> Vec<RequestLine> {
+        // A buffer smaller than the lines, so reads and the discard of
+        // an over-long line both span several refills.
+        let mut reader = io::BufReader::with_capacity(3, input);
+        std::iter::from_fn(|| read_request_line(&mut reader, cap).unwrap()).collect()
+    }
+
+    fn line(s: &str) -> RequestLine {
+        RequestLine::Line(s.into())
+    }
+
+    #[test]
+    fn exact_cap_line_is_read_whole() {
+        assert_eq!(
+            lines_of(b"12345678\nabc\r\n", 8),
+            [line("12345678"), line("abc")]
+        );
+    }
+
+    #[test]
+    fn over_cap_line_is_discarded_and_reading_resumes() {
+        let got = lines_of(b"123456789\nok\nxxxxxxxxxxxxxxxxxxxxxxxxxxxx\n\nlast", 8);
+        assert!(matches!(&got[0], RequestLine::Invalid(why) if why.contains("exceeds 8")));
+        assert_eq!(got[1], line("ok"));
+        assert!(matches!(got[2], RequestLine::Invalid(_)));
+        assert_eq!(got[3..], [line(""), line("last")]);
+    }
+
+    #[test]
+    fn newline_free_stream_ends_after_one_reply() {
+        // Over the cap: one invalid line, then end of stream, without
+        // holding more than cap + 1 bytes.
+        let endless = vec![b'x'; 10_000];
+        let got = lines_of(&endless, 8);
+        assert_eq!(got.len(), 1);
+        assert!(matches!(got[0], RequestLine::Invalid(_)));
+        // Within the cap: the unterminated tail is a line.
+        assert_eq!(lines_of(b"12345678", 8), [line("12345678")]);
+        assert_eq!(lines_of(b"", 8), []);
+    }
+
+    #[test]
+    fn non_utf8_line_is_invalid_not_fatal() {
+        let got = lines_of(b"\xff\xfe\n{}\n", 8);
+        assert!(matches!(&got[0], RequestLine::Invalid(why) if why.contains("UTF-8")));
+        assert_eq!(got[1], line("{}"));
+    }
 
     #[test]
     fn submit_round_trips() {
