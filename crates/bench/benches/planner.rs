@@ -129,12 +129,17 @@ fn bench_planner(c: &mut Criterion) {
             let label = format!("incremental_batch_w{workers}");
             group.bench_with_input(BenchmarkId::new(label, depth), &depth, |b, _| {
                 let mut planner = Planner::new();
-                let mut plans = vec![Default::default(); Policy::BASIC.len()];
                 let mut timings = vec![PlanTiming::default(); Policy::BASIC.len()];
                 b.iter(|| {
                     planner.prepare(machine, now, &running, &[]);
-                    planner.plan_prepared_batch(&orders, &mut plans, &mut timings, workers);
-                    black_box(&plans);
+                    black_box(planner.plan_prepared_batch(
+                        &Policy::BASIC,
+                        &orders,
+                        None,
+                        &mut timings,
+                        workers,
+                        0,
+                    ));
                 })
             });
         }

@@ -6,8 +6,8 @@ use dynp_des::SimTime;
 use dynp_metrics::Objective;
 use dynp_obs::{TraceClass, TraceEvent, Tracer};
 use dynp_rms::{
-    PlanTiming, Planner, Policy, QueueChange, ReferencePlanner, ReplanReason, RmsState, Schedule,
-    Scheduler, SchedulerSnapshot,
+    PlanTiming, PlanWork, Planner, Policy, QueueChange, QueueDelta, ReferencePlanner, ReplanReason,
+    RmsState, Schedule, Scheduler, SchedulerSnapshot,
 };
 use dynp_workload::Job;
 use serde::{Deserialize, Serialize};
@@ -174,9 +174,10 @@ pub struct SelfTuningScheduler {
     orders: Vec<Vec<Job>>,
     /// How far into the state's queue change log the orders are synced.
     log_cursor: usize,
-    /// Per-policy schedule of the current step (parallel to
-    /// `config.policies`); reused across steps.
-    plan_schedules: Vec<Schedule>,
+    /// How far into the state's queue change log the planner's
+    /// persistent per-policy plans are: the batch's [`QueueDelta`]
+    /// starts here.
+    plan_cursor: usize,
     /// Per-policy objective score of the current step.
     plan_scores: Vec<f64>,
     /// Per-policy wall-clock timing of the current step's planning pass
@@ -184,7 +185,8 @@ pub struct SelfTuningScheduler {
     plan_timings: Vec<PlanTiming>,
     /// Resolved worker cap for the plan fan-out (≥ 1).
     max_workers: usize,
-    /// Total queue depth below which planning stays sequential.
+    /// Entries left to place per worker below which planning stays
+    /// sequential.
     parallel_min_depth: usize,
     /// Scratch score vector handed to the decider; reused across steps.
     scores: Vec<(Policy, f64)>,
@@ -192,6 +194,11 @@ pub struct SelfTuningScheduler {
     tracer: Tracer,
     /// Decision bookkeeping.
     pub stats: SwitchStats,
+    /// Placement work of every self-tuning step's planning batch: how
+    /// many per-policy entries were placed, kept from the previous plan,
+    /// and released (DESIGN §10). Reference mode plans outside the
+    /// batch and leaves it untouched.
+    pub plan_work: PlanWork,
 }
 
 impl SelfTuningScheduler {
@@ -215,7 +222,7 @@ impl SelfTuningScheduler {
             queue_buf: Vec::new(),
             orders: vec![Vec::new(); n],
             log_cursor: 0,
-            plan_schedules: vec![Schedule::default(); n],
+            plan_cursor: 0,
             plan_scores: vec![0.0; n],
             plan_timings: vec![PlanTiming::default(); n],
             max_workers: resolve_planner_threads(config.planner_threads),
@@ -224,6 +231,7 @@ impl SelfTuningScheduler {
             tracer: Tracer::disabled(),
             config,
             stats: SwitchStats::default(),
+            plan_work: PlanWork::default(),
         }
     }
 
@@ -234,7 +242,8 @@ impl SelfTuningScheduler {
         self.max_workers = workers.max(1);
     }
 
-    /// Overrides the queue depth below which planning stays sequential.
+    /// Overrides the number of entries left to place per worker below
+    /// which planning stays sequential.
     /// Equivalence tests set `0` so tiny queues still exercise the
     /// threaded path; production keeps
     /// [`dynp_rms::PARALLEL_MIN_DEPTH`].
@@ -253,6 +262,7 @@ impl SelfTuningScheduler {
     /// equivalence tests check the incremental engine against.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
+        self.planner.invalidate_plans();
     }
 
     /// Brings the per-policy sorted queue views in sync with the RMS
@@ -429,24 +439,30 @@ impl SelfTuningScheduler {
             return self.planner.plan_prepared(&self.orders[0]);
         }
 
-        // Fan the independent per-policy planning passes across workers
-        // once the queue is deep enough to amortize thread hand-off.
-        // Schedules land in policy order regardless of worker count, and
-        // scoring stays on this thread in that same order, so the step
-        // is bit-identical for every `max_workers`.
-        let workers = if state.waiting().len() >= self.parallel_min_depth {
-            self.max_workers
-        } else {
-            1
-        };
-        let workers_used = self.planner.plan_prepared_batch(
+        // Bring every policy's persistent plan up to date: the planner
+        // keeps the prefix the queue changes since the last batch cannot
+        // move and re-places the rest, fanning the passes across workers
+        // once enough entries are left to place to amortize thread
+        // hand-off. Schedules land in policy order regardless of worker
+        // count, and scoring stays on this thread in that same order, so
+        // the step is bit-identical for every `max_workers`.
+        let log = state.queue_log();
+        let delta = log.get(self.plan_cursor..).map(|changes| QueueDelta {
+            changes,
+            running: state.running(),
+        });
+        let (workers_used, work) = self.planner.plan_prepared_batch(
+            &self.config.policies,
             &self.orders,
-            &mut self.plan_schedules,
+            delta,
             &mut self.plan_timings,
-            workers,
+            self.max_workers,
+            self.parallel_min_depth,
         );
+        self.plan_cursor = log.len();
+        self.plan_work.add(work);
         for i in 0..self.config.policies.len() {
-            self.plan_scores[i] = self.config.objective.evaluate(&self.plan_schedules[i], now);
+            self.plan_scores[i] = self.config.objective.evaluate(self.planner.planned(i), now);
         }
         if self.tracer.wants(TraceClass::Span) {
             for (i, &policy) in self.config.policies.iter().enumerate() {
@@ -484,17 +500,18 @@ impl SelfTuningScheduler {
             .iter()
             .position(|&p| p == next)
             .expect("decider returned a non-candidate policy");
-        std::mem::take(&mut self.plan_schedules[idx])
+        self.planner.planned(idx).clone()
     }
 
     /// The pre-incremental step: re-sort every queue, rebuild every
     /// profile, score, decide. Kept verbatim as the correctness oracle.
     fn self_tuning_step_reference(&mut self, state: &RmsState, now: SimTime) -> Schedule {
         let policies = self.config.policies.clone();
+        let mut schedules = Vec::with_capacity(policies.len());
         for (i, policy) in policies.into_iter().enumerate() {
             let schedule = self.plan_policy_reference(policy, state, now);
             self.plan_scores[i] = self.config.objective.evaluate(&schedule, now);
-            self.plan_schedules[i] = schedule;
+            schedules.push(schedule);
         }
         self.scores.clear();
         self.scores.extend(
@@ -517,7 +534,7 @@ impl SelfTuningScheduler {
             .iter()
             .position(|&p| p == next)
             .expect("decider returned a non-candidate policy");
-        std::mem::take(&mut self.plan_schedules[idx])
+        schedules.swap_remove(idx)
     }
 }
 
@@ -554,8 +571,10 @@ impl Scheduler for SelfTuningScheduler {
     /// log (every policy comparator is a *total* order with an
     /// (submit, id) tail, so replaying the full log from cursor 0
     /// reproduces them bit-identically), and `restore` resets them so
-    /// the next `sync_orders` rebuilds from scratch. Planner internals
-    /// are caches rebuilt every event.
+    /// the next `sync_orders` rebuilds from scratch. The planner's
+    /// persistent per-policy plans are caches: `restore` drops them, so
+    /// the next step plans every policy from the base. `plan_work` is a
+    /// cost counter, not decision state, and is not captured either.
     fn snapshot(&self) -> Option<SchedulerSnapshot> {
         let s = &self.stats;
         let mut words = vec![
@@ -600,6 +619,8 @@ impl Scheduler for SelfTuningScheduler {
             order.clear();
         }
         self.log_cursor = 0;
+        self.planner.invalidate_plans();
+        self.plan_cursor = 0;
     }
 }
 

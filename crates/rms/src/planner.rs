@@ -9,9 +9,10 @@
 //! backfill pass exists, exactly as in planning-based systems like CCS.
 
 use crate::naive::NaiveProfile;
+use crate::policy::Policy;
 use crate::profile::Profile;
 use crate::schedule::{PlannedJob, Schedule};
-use crate::state::RunningJob;
+use crate::state::{QueueChange, RunningJob};
 use dynp_des::{SimDuration, SimTime};
 use dynp_workload::Job;
 
@@ -22,30 +23,53 @@ use dynp_workload::Job;
 /// policy; only the queue order differs. [`Planner::prepare`] builds
 /// that base once with an endpoint sweep, and each
 /// [`Planner::plan_prepared`] call restores the working profile to the
-/// prepared watermark with one `memcpy` before placing the queue. The
-/// dynP self-tuning step plans once per policy per event, so this turns
-/// P profile rebuilds per event into one build plus P cheap restores.
+/// prepared watermark with one `memcpy` before placing the queue.
+///
+/// The self-tuning step plans every candidate policy per event through
+/// [`Planner::plan_prepared_batch`], which keeps each policy's plan —
+/// its schedule and the working profile its pass left behind — across
+/// events. Given what the queue did since ([`QueueDelta`]), it proves
+/// the longest prefix of each cached plan that the event cannot move,
+/// releases the rest from the working profile and re-places only that
+/// suffix (DESIGN §10, "Persistent per-policy plans").
 ///
 /// [`Planner::plan`] keeps the original one-shot signature (prepare +
 /// plan in one call) and produces bit-identical schedules to
 /// [`ReferencePlanner`], the retained from-scratch implementation.
 #[derive(Debug)]
 pub struct Planner {
-    /// Working profile each planning pass narrows.
+    /// Working profile of the single-queue passes.
     profile: Profile,
     /// Shared base: running jobs + reservations as of `prepared_at`.
     base: Profile,
     /// Instant [`Planner::prepare`] was last called at.
     prepared_at: SimTime,
+    /// Number of [`Planner::prepare`] calls so far.
+    prepared_seq: u64,
     /// Scratch span list handed to the sweep (reused, no per-event
     /// allocation).
     spans: Vec<(SimTime, SimTime, u32)>,
     /// Scratch endpoint buffer for the sweep.
     events: Vec<(SimTime, i64)>,
-    /// Per-worker working profiles for [`Planner::plan_prepared_batch`],
-    /// persistent across events so the parallel path allocates nothing
-    /// steady-state.
-    work: Vec<Profile>,
+    /// Per-policy persistent plans of [`Planner::plan_prepared_batch`],
+    /// in the caller's slot order.
+    plans: Vec<PolicyPlan>,
+    /// The base `plans` were placed on; `prepare` swaps the current base
+    /// in here when it is that base.
+    plans_base: Profile,
+    /// `prepared_seq` of the base `plans` were placed on; `None` when the
+    /// plans cannot be reused.
+    plans_seq: Option<u64>,
+    /// `prepared_at` of the base `plans` were placed on.
+    plans_at: SimTime,
+    /// Scratch split of a [`QueueDelta`]: jobs that entered, jobs that
+    /// left without starting, and started jobs with their start.
+    entered: Vec<Job>,
+    withdrawn: Vec<Job>,
+    started: Vec<(Job, SimTime)>,
+    /// Scratch for the base guard: `(start + estimate, width)` of the
+    /// started jobs, sorted.
+    raised: Vec<(SimTime, u32)>,
     /// Observability tracer (disabled by default); [`Planner::prepare`]
     /// is measured as a `"prepare"` wall-clock span.
     tracer: dynp_obs::Tracer,
@@ -62,11 +86,74 @@ pub struct PlanTiming {
     pub dur_ns: u64,
 }
 
-/// Queue depth below which [`Planner::plan_prepared_batch`] stays
+/// What the waiting queue did since the previous
+/// [`Planner::plan_prepared_batch`]: the tail of the state's queue change
+/// log, and the running set the current base was prepared from (it tells
+/// a start from a withdrawal, and gives the start time).
+#[derive(Clone, Copy, Debug)]
+pub struct QueueDelta<'a> {
+    /// Queue changes since the previous batch, in occurrence order.
+    pub changes: &'a [QueueChange],
+    /// The running jobs passed to the current [`Planner::prepare`].
+    pub running: &'a [RunningJob],
+}
+
+/// Per-policy placement work of planning batches, summed over policies.
+/// A from-scratch batch places every entry; `placed + reused` is the
+/// number of entries the batch's plans hold.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanWork {
+    /// Entries placed with an earliest-fit search.
+    pub placed: u64,
+    /// Entries kept from the cached plan (the proven-unchanged prefix).
+    pub reused: u64,
+    /// Cached entries released from the working profile before their
+    /// suffix was re-placed.
+    pub released: u64,
+}
+
+impl PlanWork {
+    /// Adds another batch's work to this total.
+    pub fn add(&mut self, other: PlanWork) {
+        self.placed += other.placed;
+        self.reused += other.reused;
+        self.released += other.released;
+    }
+}
+
+/// One candidate policy's persistent plan: the schedule of its last pass
+/// and the working profile that pass left behind (the base plus every
+/// placement), plus this batch's reuse decision.
+#[derive(Clone, Debug)]
+struct PolicyPlan {
+    policy: Policy,
+    schedule: Schedule,
+    profile: Profile,
+    /// This batch's reuse point; `None` replans from the base.
+    reuse: Option<Reuse>,
+    /// Sorted indices into `schedule.entries` of the jobs that started
+    /// since the cached pass.
+    started: Vec<usize>,
+    /// This batch's work.
+    work: PlanWork,
+}
+
+/// Where a pass resumes a cached plan: cached entries from `cut` on are
+/// released, and the queue is placed from `suffix_start` on.
+#[derive(Clone, Copy, Debug)]
+struct Reuse {
+    cut: usize,
+    suffix_start: usize,
+}
+
+/// Placement work below which [`Planner::plan_prepared_batch`] stays
 /// sequential regardless of the requested worker count: per-policy
 /// planning passes at shallow depths finish in microseconds, so thread
-/// hand-off would cost more than it saves. Callers sum the candidate
-/// queue depths and compare against this.
+/// hand-off would cost more than it saves. The batch sums, per worker,
+/// the entries its policies have left to place after reuse, and fans
+/// out only when every worker's sum reaches this — so a full replan
+/// fans out at a queue depth of 512, and a mostly reused step stays on
+/// the calling thread.
 pub const PARALLEL_MIN_DEPTH: usize = 512;
 
 /// Padding added after a running job's estimated end when the estimate
@@ -82,9 +169,17 @@ impl Planner {
             profile: Profile::new(1, SimTime::ZERO),
             base: Profile::new(1, SimTime::ZERO),
             prepared_at: SimTime::ZERO,
+            prepared_seq: 0,
             spans: Vec::new(),
             events: Vec::new(),
-            work: Vec::new(),
+            plans: Vec::new(),
+            plans_base: Profile::new(1, SimTime::ZERO),
+            plans_seq: None,
+            plans_at: SimTime::ZERO,
+            entered: Vec::new(),
+            withdrawn: Vec::new(),
+            started: Vec::new(),
+            raised: Vec::new(),
             tracer: dynp_obs::Tracer::disabled(),
         }
     }
@@ -118,6 +213,11 @@ impl Planner {
         reservations: &[crate::reservation::Reservation],
     ) {
         let _span = self.tracer.span(now, "prepare");
+        if self.plans_seq == Some(self.prepared_seq) {
+            // The current base is the one the persistent plans were
+            // placed on: keep it for the next batch's base guard.
+            std::mem::swap(&mut self.base, &mut self.plans_base);
+        }
         self.spans.clear();
         for r in running {
             let end = r.estimated_end().max(now + RUNNING_PAD);
@@ -133,6 +233,7 @@ impl Planner {
         self.base
             .rebuild_from_spans(machine_size, now, &self.spans, &mut self.events);
         self.prepared_at = now;
+        self.prepared_seq += 1;
     }
 
     /// Number of points in the prepared base profile — the size of the
@@ -182,122 +283,318 @@ impl Planner {
     }
 
     /// [`Planner::plan_prepared`] into a caller-owned schedule, reusing
-    /// its entry buffer (the self-tuning step keeps one schedule per
-    /// candidate policy alive across events).
+    /// its entry buffer.
     pub fn plan_prepared_into(&mut self, queue: &[Job], out: &mut Schedule) {
-        Self::plan_queue(&self.base, &mut self.profile, self.prepared_at, queue, out);
-    }
-
-    /// The per-policy planning pass: restores `profile` to the `base`
-    /// watermark and places `queue` (already in policy order) job by job.
-    /// A free function over explicit profiles so the batch fan-out can
-    /// run it on per-worker buffers; the result depends only on
-    /// `(base, now, queue)`, which is what makes the fan-out
-    /// deterministic regardless of worker assignment.
-    fn plan_queue(
-        base: &Profile,
-        profile: &mut Profile,
-        now: SimTime,
-        queue: &[Job],
-        out: &mut Schedule,
-    ) {
-        profile.restore_from(base);
+        self.profile.restore_from(&self.base);
         out.entries.clear();
-        out.entries.reserve(queue.len());
-        for job in queue {
-            // A job wider than the (possibly degraded) machine has no
-            // feasible start at any time: leave it out of the plan — it
-            // stays waiting until node repair restores enough capacity.
-            if job.width > profile.capacity() {
-                continue;
-            }
-            let earliest = now.max(job.submit);
-            let start = profile.allocate_earliest(earliest, job.estimate, job.width);
-            out.entries.push(PlannedJob { job: *job, start });
-        }
+        place(&mut self.profile, self.prepared_at, queue, out);
     }
 
-    /// Plans every queue in `queues` against the prepared base — the
-    /// per-policy fan-out of the self-tuning step. With `workers <= 1`
-    /// (or a single queue) this is exactly a [`Planner::plan_prepared_into`]
-    /// loop; otherwise the queues are split into contiguous runs across
-    /// `std::thread::scope` workers, each planning on its own persistent
-    /// working profile. Returns the worker count actually used.
+    /// Drops the persistent plans: the next
+    /// [`Planner::plan_prepared_batch`] plans every policy from the base.
+    /// Callers invalidate when the queue history the plans were built on
+    /// no longer applies (a restored snapshot, a switch of engine).
+    pub fn invalidate_plans(&mut self) {
+        self.plans_seq = None;
+    }
+
+    /// The schedule [`Planner::plan_prepared_batch`] built for slot `i`.
+    pub fn planned(&self, i: usize) -> &Schedule {
+        &self.plans[i].schedule
+    }
+
+    /// Plans every queue in `queues` (queue `i` in the order of
+    /// `policies[i]`) against the prepared base — the per-policy step of
+    /// the self-tuning scheduler. Results are read with
+    /// [`Planner::planned`]. Returns the worker count used and the
+    /// batch's placement work.
     ///
-    /// Every queue's schedule depends only on the shared immutable base
-    /// and its own queue order, and results land in the caller's `outs`
-    /// slot for that queue — so schedules are bit-identical for every
-    /// worker count, and the merge order is the caller's policy order by
-    /// construction. `timings[i]` records the wall clock of pass `i`
-    /// when span tracing is enabled (zeroed otherwise).
+    /// With `delta`, each policy's plan from the previous batch is reused
+    /// as far as the guard of DESIGN §10 proves it unchanged: the
+    /// current base must equal the previous one minus the spans of the
+    /// jobs started since, every started job must have started where the
+    /// cached plan put it, and the kept prefix ends at the first entered
+    /// job, the first withdrawn job or the first cached entry planned
+    /// before now. The cached entries after the prefix are released from
+    /// the policy's working profile and only the queue after the prefix
+    /// is placed; a policy whose suffix is longer than its prefix, and
+    /// every policy without `delta` or without a valid cached plan, is
+    /// planned from the base. `delta` must describe exactly the queue
+    /// changes since the previous batch, with the running set this base
+    /// was prepared from. The schedules are bit-identical to planning
+    /// every queue from the base.
+    ///
+    /// The passes are split into contiguous runs across up to
+    /// `max_workers` `std::thread::scope` workers when every run has at
+    /// least `min_depth` entries left to place (see
+    /// [`PARALLEL_MIN_DEPTH`]), and run on the calling thread otherwise.
+    /// Every pass depends only on the shared immutable base, its own
+    /// cached plan and its queue, so schedules are bit-identical for
+    /// every worker count.
+    /// `timings[i]` records the wall clock of pass `i` when span tracing
+    /// is enabled (zeroed otherwise).
     pub fn plan_prepared_batch(
         &mut self,
+        policies: &[Policy],
         queues: &[Vec<Job>],
-        outs: &mut [Schedule],
+        delta: Option<QueueDelta<'_>>,
         timings: &mut [PlanTiming],
-        workers: usize,
-    ) -> usize {
+        max_workers: usize,
+        min_depth: usize,
+    ) -> (usize, PlanWork) {
         let n = queues.len();
-        assert_eq!(n, outs.len(), "one output schedule per queue");
+        assert_eq!(n, policies.len(), "one policy per queue");
         assert_eq!(n, timings.len(), "one timing slot per queue");
+        // Plans placed on the base of the previous `prepare`, no later
+        // than now, for as many policies, on the same machine.
+        let reusable = self
+            .plans_seq
+            .is_some_and(|seq| seq + 1 == self.prepared_seq)
+            && self.plans_at <= self.prepared_at
+            && self.plans.len() == n
+            && self.base.capacity() == self.plans_base.capacity();
+        let guard = match delta {
+            Some(delta) if reusable => {
+                self.split_delta(delta)
+                    && self
+                        .base
+                        .same_from(&self.plans_base, self.prepared_at, &self.raised)
+            }
+            _ => false,
+        };
+        self.plans.truncate(n);
+        for (i, (&policy, queue)) in policies.iter().zip(queues).enumerate() {
+            if i == self.plans.len() {
+                self.plans.push(PolicyPlan {
+                    policy,
+                    schedule: Schedule::default(),
+                    profile: Profile::new(1, SimTime::ZERO),
+                    reuse: None,
+                    started: Vec::new(),
+                    work: PlanWork::default(),
+                });
+            }
+            let plan = &mut self.plans[i];
+            plan.reuse = if guard && plan.policy == policy {
+                plan.find_reuse(
+                    queue,
+                    self.prepared_at,
+                    &self.entered,
+                    &self.withdrawn,
+                    &self.started,
+                )
+            } else {
+                None
+            };
+            plan.policy = policy;
+        }
+        // Fan out only when every worker gets at least `min_depth`
+        // entries to place.
+        let workers = max_workers.clamp(1, n.max(1));
+        let per = n.div_ceil(workers);
+        let left = |i: usize| queues[i].len() - self.plans[i].reuse.map_or(0, |r| r.suffix_start);
+        let fan_out = (0..n)
+            .step_by(per)
+            .all(|lo| (lo..n.min(lo + per)).map(left).sum::<usize>() >= min_depth);
+        let workers = if fan_out { workers } else { 1 };
         let time_plans = self.tracer.wants(dynp_obs::TraceClass::Span);
-        let workers = workers.clamp(1, n.max(1));
-        if workers <= 1 {
-            for i in 0..n {
-                let start_ns = if time_plans { self.tracer.now_ns() } else { 0 };
-                self.plan_prepared_into(&queues[i], &mut outs[i]);
-                timings[i] = PlanTiming {
+        let base = &self.base;
+        let now = self.prepared_at;
+        let tracer = &self.tracer;
+        let run = |plans: &mut [PolicyPlan], queues: &[Vec<Job>], timings: &mut [PlanTiming]| {
+            for ((plan, queue), tim) in plans.iter_mut().zip(queues).zip(timings) {
+                let start_ns = if time_plans { tracer.now_ns() } else { 0 };
+                plan.replan(base, now, queue);
+                *tim = PlanTiming {
                     start_ns,
                     dur_ns: if time_plans {
-                        self.tracer.now_ns().saturating_sub(start_ns)
+                        tracer.now_ns().saturating_sub(start_ns)
                     } else {
                         0
                     },
                 };
             }
-            return 1;
+        };
+        if workers <= 1 {
+            run(&mut self.plans, queues, timings);
+        } else {
+            std::thread::scope(|s| {
+                for ((plans, queues), timings) in self
+                    .plans
+                    .chunks_mut(per)
+                    .zip(queues.chunks(per))
+                    .zip(timings.chunks_mut(per))
+                {
+                    s.spawn(move || run(plans, queues, timings));
+                }
+            });
         }
-        while self.work.len() < workers {
-            self.work.push(Profile::new(1, SimTime::ZERO));
+        self.plans_seq = Some(self.prepared_seq);
+        self.plans_at = self.prepared_at;
+        let mut work = PlanWork::default();
+        for plan in &self.plans {
+            work.add(plan.work);
         }
-        let base = &self.base;
-        let now = self.prepared_at;
-        let tracer = &self.tracer;
-        let per = n.div_ceil(workers);
-        std::thread::scope(|s| {
-            let mut outs_rest = outs;
-            let mut timings_rest = timings;
-            let mut work_rest = &mut self.work[..];
-            let mut idx = 0;
-            while idx < n {
-                let take = per.min(n - idx);
-                let (outs_chunk, r) = outs_rest.split_at_mut(take);
-                outs_rest = r;
-                let (tim_chunk, r) = timings_rest.split_at_mut(take);
-                timings_rest = r;
-                let (work_profile, r) = work_rest.split_first_mut().expect("worker profile");
-                work_rest = r;
-                let queue_chunk = &queues[idx..idx + take];
-                s.spawn(move || {
-                    for ((queue, out), tim) in queue_chunk.iter().zip(outs_chunk).zip(tim_chunk) {
-                        let start_ns = if time_plans { tracer.now_ns() } else { 0 };
-                        Self::plan_queue(base, work_profile, now, queue, out);
-                        *tim = PlanTiming {
-                            start_ns,
-                            dur_ns: if time_plans {
-                                tracer.now_ns().saturating_sub(start_ns)
-                            } else {
-                                0
-                            },
-                        };
-                    }
-                });
-                idx += take;
-            }
-        });
-        workers
+        (workers, work)
     }
 
+    /// Splits `delta` into entered, withdrawn and started jobs, and
+    /// collects `(start + estimate, width)` of the started jobs, sorted,
+    /// for the shared half of the reuse guard: the current base must
+    /// equal the base the cached plans were placed on minus the spans
+    /// `[now, start + estimate)` of the started jobs, as step functions
+    /// from now on (a started job padded to `now + RUNNING_PAD` holds
+    /// more than that span and fails the comparison; a completion, a
+    /// fault or a reservation change fails it at its first differing
+    /// point). Returns false when a job left twice, which no reuse
+    /// survives.
+    fn split_delta(&mut self, delta: QueueDelta<'_>) -> bool {
+        self.entered.clear();
+        self.withdrawn.clear();
+        self.started.clear();
+        self.raised.clear();
+        for change in delta.changes {
+            match *change {
+                QueueChange::Entered(job) => self.entered.push(job),
+                QueueChange::Left(job) => {
+                    // Jobs start at the back of the running set.
+                    match delta.running.iter().rev().find(|r| r.job.id == job.id) {
+                        Some(r) => {
+                            if self.started.iter().any(|(j, _)| j.id == job.id) {
+                                return false;
+                            }
+                            self.started.push((job, r.start));
+                            self.raised
+                                .push((r.start.saturating_add(job.estimate), job.width));
+                        }
+                        None => self.withdrawn.push(job),
+                    }
+                }
+            }
+        }
+        self.raised.sort_unstable();
+        true
+    }
+}
+
+impl PolicyPlan {
+    /// The per-policy half of the reuse guard: where the cached plan
+    /// stops being provably unchanged, or `None` to plan from the base
+    /// (a started job the cached plan did not start at that instant, or
+    /// a suffix longer than the prefix). Fills `self.started`.
+    fn find_reuse(
+        &mut self,
+        queue: &[Job],
+        now: SimTime,
+        entered: &[Job],
+        withdrawn: &[Job],
+        started: &[(Job, SimTime)],
+    ) -> Option<Reuse> {
+        let policy = self.policy;
+        let entries = &self.schedule.entries;
+        let find = |job: &Job| entries.binary_search_by(|e| policy.cmp_jobs(&e.job, job));
+        self.started.clear();
+        for (job, start) in started {
+            match find(job) {
+                Ok(idx) if entries[idx].start == *start => self.started.push(idx),
+                _ => return None,
+            }
+        }
+        self.started.sort_unstable();
+        let mut cut = entries.len();
+        for job in entered {
+            cut = cut.min(entries.partition_point(|e| policy.cmp_jobs(&e.job, job).is_lt()));
+        }
+        for job in withdrawn {
+            // A withdrawn job the cached plan does not hold entered since
+            // (its `Entered` already cut) or was over-wide.
+            if let Ok(idx) = find(job) {
+                cut = cut.min(idx);
+            }
+        }
+        let is_started = |idx: usize| self.started.binary_search(&idx).is_ok();
+        // The first cached entry planned before now that did not start.
+        let mut from = 0;
+        while let Some(off) = entries[from..cut].iter().position(|e| e.start < now) {
+            if !is_started(from + off) {
+                cut = from + off;
+                break;
+            }
+            from += off + 1;
+        }
+        let started_before = self.started.partition_point(|&i| i < cut);
+        let prefix = cut - started_before;
+        let released = entries.len() - cut - (self.started.len() - started_before);
+        if released > prefix {
+            return None;
+        }
+        let suffix_start = match (0..cut).rev().find(|&idx| !is_started(idx)) {
+            Some(idx) => {
+                queue
+                    .binary_search_by(|j| policy.cmp_jobs(j, &entries[idx].job))
+                    .ok()?
+                    + 1
+            }
+            None => 0,
+        };
+        Some(Reuse { cut, suffix_start })
+    }
+
+    /// Brings the plan up to date with `queue`: resumes the cached plan
+    /// at its reuse point (releasing the cached suffix, dropping started
+    /// entries and the profile's past), or replans from `base`.
+    fn replan(&mut self, base: &Profile, now: SimTime, queue: &[Job]) {
+        let entries = &mut self.schedule.entries;
+        let mut work = PlanWork::default();
+        let from = match self.reuse {
+            None => {
+                self.profile.restore_from(base);
+                entries.clear();
+                0
+            }
+            Some(Reuse { cut, suffix_start }) => {
+                let started = &self.started;
+                for (idx, e) in entries.iter().enumerate().skip(cut) {
+                    if started.binary_search(&idx).is_err() {
+                        self.profile.release(e.start, e.job.estimate, e.job.width);
+                        work.released += 1;
+                    }
+                }
+                entries.truncate(cut);
+                for &idx in started.iter().rev().filter(|&&idx| idx < cut) {
+                    entries.remove(idx);
+                }
+                work.reused = entries.len() as u64;
+                self.profile.advance_origin(now);
+                suffix_start
+            }
+        };
+        let before = entries.len();
+        place(&mut self.profile, now, &queue[from..], &mut self.schedule);
+        work.placed = (self.schedule.entries.len() - before) as u64;
+        self.work = work;
+    }
+}
+
+/// Places `queue` (in policy order) on `profile` job by job, appending
+/// to `out`: each job gets the earliest feasible start ≥ max(now,
+/// submit).
+fn place(profile: &mut Profile, now: SimTime, queue: &[Job], out: &mut Schedule) {
+    out.entries.reserve(queue.len());
+    for job in queue {
+        // A job wider than the (possibly degraded) machine has no
+        // feasible start at any time: leave it out of the plan — it
+        // stays waiting until node repair restores enough capacity.
+        if job.width > profile.capacity() {
+            continue;
+        }
+        let earliest = now.max(job.submit);
+        let start = profile.allocate_earliest(earliest, job.estimate, job.width);
+        out.entries.push(PlannedJob { job: *job, start });
+    }
+}
+
+impl Planner {
     /// Builds the full schedule for `queue` (already in policy order) at
     /// time `now`, around the reservations of `running` jobs.
     ///
@@ -618,12 +915,20 @@ mod tests {
         p.prepare(8, t(5), &running, &[]);
         let expected: Vec<Schedule> = queues.iter().map(|q| p.plan_prepared(q)).collect();
         for workers in [1usize, 2, 3, 8] {
-            let mut outs = vec![Schedule::default(); 3];
             let mut timings = vec![PlanTiming::default(); 3];
-            let used = p.plan_prepared_batch(&queues, &mut outs, &mut timings, workers);
+            let (used, work) =
+                p.plan_prepared_batch(&Policy::BASIC, &queues, None, &mut timings, workers, 0);
             assert!(used >= 1 && used <= workers.max(1));
-            for (got, want) in outs.iter().zip(&expected) {
-                assert_eq!(got.entries, want.entries, "workers={workers} diverged");
+            assert_eq!(
+                work.placed, 120,
+                "a batch without a delta places everything"
+            );
+            for (i, want) in expected.iter().enumerate() {
+                assert_eq!(
+                    p.planned(i).entries,
+                    want.entries,
+                    "workers={workers} diverged"
+                );
             }
             // Tracing is off: timings must stay zeroed.
             assert!(timings.iter().all(|tm| *tm == PlanTiming::default()));

@@ -57,8 +57,9 @@
 //! rescans: the decremented values can only lower the min, a fully
 //! covered chunk shifts its max by `width` and takes its new min from
 //! the walk, and an inserted point widens its chunk's bounds to cover
-//! its value. Only `rebuild_from_spans` and the chunk split recompute
-//! bounds exactly (one sweep of at most `CHUNK_CAP` values per chunk).
+//! its value. Only `rebuild_from_spans`, the chunk split and
+//! [`Profile::release`] recompute bounds exactly (one sweep of at most
+//! `CHUNK_CAP` values per chunk).
 //! Scans tighten bounds for free: a seek that reads a whole chunk
 //! without a candidate proves its max is below `width`, a verify that
 //! reads one without a blocker proves its min is at least `width`;
@@ -66,8 +67,18 @@
 //! the chunks a pass has narrowed, while the `&self`
 //! [`Profile::earliest_fit`] stays read-only.
 //!
-//! Chunk splits append the upper half to the arena (no kilobyte-sized
-//! memmove of sibling chunks) and shift only the small per-chunk array
+//! [`Profile::release`] is the inverse update: it hands a span's
+//! processors back with the same forward walk, recomputes the touched
+//! chunks' summaries exactly, and merges the break points the release
+//! made redundant, so a
+//! profile that places and releases the same spans over and over does
+//! not grow. [`Profile::advance_origin`] drops the points before a new
+//! origin. Together they let the planner keep a policy's working profile
+//! across scheduling events instead of rebuilding it (DESIGN §10).
+//!
+//! Chunk splits append the upper half to the arena, or reuse the slot of
+//! a chunk that a release or an origin advance emptied (no kilobyte-sized
+//! memmove of sibling chunks), and shift only the small per-chunk array
 //! entries. `restore_from` stays a flat `memcpy` of the chunk storage
 //! and summary arrays, preserving the shared-base-profile
 //! watermark-restore trick of the incremental planner. A profile that
@@ -200,11 +211,13 @@ pub struct Profile {
     /// [`Profile::allocate_earliest`] query and its answer. Valid as a
     /// scan lower bound for any later query that dominates it, because
     /// allocation only narrows the profile (see `allocate_earliest`).
-    /// Cleared whenever the profile is rebuilt or restored.
+    /// Cleared whenever the profile is rebuilt, restored or released.
     memo: [MemoSlot; 32],
     /// Scratch for the whole-chunk facts an `allocate_earliest` scan
     /// proves in passing (see `fit_pos`); empty between calls.
     proofs: Vec<(usize, bool)>,
+    /// Arena slots of chunks that emptied; the next split reuses them.
+    spare: Vec<u32>,
 }
 
 impl Profile {
@@ -222,6 +235,7 @@ impl Profile {
             max_free: Vec::new(),
             memo: [MEMO_EMPTY; 32],
             proofs: Vec::new(),
+            spare: Vec::new(),
         };
         p.init_single(capacity, origin);
         p
@@ -239,6 +253,7 @@ impl Profile {
         self.n_points = 1;
         self.memo = [MEMO_EMPTY; 32];
         self.arena.clear();
+        self.spare.clear();
         self.arena.push(Chunk::of(ProfilePoint {
             time: origin,
             free: capacity,
@@ -346,6 +361,7 @@ impl Profile {
         self.n_points = base.n_points;
         self.arena.clear();
         self.arena.extend_from_slice(&base.arena);
+        self.spare.clone_from(&base.spare);
         self.order.clear();
         self.order.extend_from_slice(&base.order);
         self.first_time.clear();
@@ -432,8 +448,8 @@ impl Profile {
 
     /// Recomputes the bounds of chunk position `c` exactly from its
     /// points (one vectorisable min/max sweep over at most `CHUNK_CAP`
-    /// 4-byte entries). Only `rebuild_from_spans` and `split_chunk` pay
-    /// for it; every other update keeps the bounds in O(1).
+    /// 4-byte entries). Only `rebuild_from_spans`, `split_chunk` and
+    /// `release` pay for it; allocations keep the bounds in O(1).
     fn exact_bounds(&mut self, c: usize) {
         let ch = &self.arena[self.order[c] as usize];
         let mut lo = u32::MAX;
@@ -629,8 +645,16 @@ impl Profile {
         hi.frees[..CHUNK_CAP - HALF].copy_from_slice(&self.arena[id].frees[HALF..]);
         let hi_first = hi.times[0];
         self.arena[id].len = HALF as u32;
-        let new_id = self.arena.len() as u32;
-        self.arena.push(hi);
+        let new_id = match self.spare.pop() {
+            Some(slot) => {
+                self.arena[slot as usize] = hi;
+                slot
+            }
+            None => {
+                self.arena.push(hi);
+                self.arena.len() as u32 - 1
+            }
+        };
         self.order.insert(c + 1, new_id);
         self.first_time.insert(c + 1, hi_first);
         self.min_free.insert(c + 1, 0);
@@ -785,7 +809,8 @@ impl Profile {
     /// duration monotonically), so most queries skip the packed prefix
     /// entirely and scan only near the frontier. The memo never changes
     /// any answer — only where the scan starts — and is cleared on
-    /// rebuild/restore/reset, the only operations that widen capacity.
+    /// rebuild/restore/reset/release, the only operations that widen
+    /// capacity.
     ///
     /// A memoised answer proves only that `[slot.after, slot.answer)`
     /// holds no fit for the slot's query, so a later query may use it
@@ -838,6 +863,213 @@ impl Profile {
         start
     }
 
+    /// Hands `width` processors back over `[start, start + duration)` —
+    /// the inverse of [`Profile::allocate`]. One forward walk raises the
+    /// covered segments (inserting the bounding points where the span
+    /// does not start or end on one) and recomputes each touched chunk's
+    /// summary exactly: a raised value would otherwise leave a partly
+    /// covered chunk's min too low for as long as the profile is kept,
+    /// and releases are rare next to allocations. The points
+    /// at `start` and `end` are then merged away if the release made them
+    /// repeat their left neighbour's value, so allocating and releasing
+    /// a span restores the profile's point count as well as its step
+    /// function. The dominance memo is cleared: it is only sound while
+    /// the profile narrows.
+    ///
+    /// # Panics
+    /// Panics if any covered segment would exceed the machine capacity
+    /// (the span was not allocated) or if `start` precedes the origin.
+    pub fn release(&mut self, start: SimTime, duration: SimDuration, width: u32) {
+        if duration.is_zero() || width == 0 {
+            return;
+        }
+        assert!(start >= self.origin(), "release before profile origin");
+        self.memo = [MEMO_EMPTY; 32];
+        let end = start.saturating_add(duration);
+        let (c, i) = self.seg_pos(start);
+        let seg = self.chunk(c).point(i);
+        let (mut c, mut i) = if seg.time == start {
+            (c, i)
+        } else {
+            self.insert_point(
+                c,
+                i + 1,
+                ProfilePoint {
+                    time: start,
+                    free: seg.free,
+                },
+            )
+        };
+        // Pre-increment value of the last covered segment: the value the
+        // profile keeps after `end`.
+        let mut prev_free = 0;
+        let capacity = self.capacity;
+        loop {
+            let ch = &mut self.arena[self.order[c] as usize];
+            let len = ch.len as usize;
+            while i < len && ch.times[i] < end {
+                let f = ch.frees[i];
+                assert!(
+                    f + width <= capacity,
+                    "overrelease: segment at {:?} has {f} free, releasing {width} of {capacity}",
+                    ch.times[i]
+                );
+                prev_free = f;
+                ch.frees[i] = f + width;
+                i += 1;
+            }
+            let stop = ch.times[..len].get(i).copied();
+            self.exact_bounds(c);
+            if let Some(stop) = stop {
+                // A point at or past `end` stops the walk in this chunk.
+                if stop > end {
+                    self.insert_point(
+                        c,
+                        i,
+                        ProfilePoint {
+                            time: end,
+                            free: prev_free,
+                        },
+                    );
+                }
+                break;
+            }
+            c += 1;
+            // The final segment is at full capacity, so a released span
+            // always ends at or before the final point.
+            assert!(
+                c < self.n_chunks(),
+                "overrelease: span runs past the horizon"
+            );
+            if self.first_time[c] >= end {
+                if self.first_time[c] > end {
+                    self.insert_point(
+                        c,
+                        0,
+                        ProfilePoint {
+                            time: end,
+                            free: prev_free,
+                        },
+                    );
+                }
+                break;
+            }
+            i = 0;
+        }
+        self.merge_at(end);
+        self.merge_at(start);
+        self.assert_invariants();
+    }
+
+    /// Removes the break point at exactly `t` when it repeats the value
+    /// of the segment before it (the origin point always stays).
+    fn merge_at(&mut self, t: SimTime) {
+        let (c, i) = self.seg_pos(t);
+        let ch = self.chunk(c);
+        if ch.times[i] != t {
+            return;
+        }
+        let before = if i > 0 {
+            ch.frees[i - 1]
+        } else if c > 0 {
+            let prev = self.chunk(c - 1);
+            prev.frees[prev.len as usize - 1]
+        } else {
+            return;
+        };
+        if before != ch.frees[i] {
+            return;
+        }
+        let ch = self.chunk_mut(c);
+        let len = ch.len as usize;
+        ch.times.copy_within(i + 1..len, i);
+        ch.frees.copy_within(i + 1..len, i);
+        ch.len -= 1;
+        let (emptied, first) = (ch.len == 0, ch.times[0]);
+        self.n_points -= 1;
+        if emptied {
+            self.drop_chunks(c, c + 1);
+        } else if i == 0 {
+            self.first_time[c] = first;
+        }
+    }
+
+    /// Unlinks chunk positions `lo..hi`, keeping their arena slots for
+    /// later splits. The caller accounts for their points.
+    fn drop_chunks(&mut self, lo: usize, hi: usize) {
+        self.spare.extend(self.order.drain(lo..hi));
+        self.first_time.drain(lo..hi);
+        self.min_free.drain(lo..hi);
+        self.max_free.drain(lo..hi);
+    }
+
+    /// Moves the origin forward to `t`: every point before the segment
+    /// containing `t` is dropped and that segment now starts at `t`. The
+    /// step function from `t` on is unchanged, so every query bounded
+    /// below by `t` answers as before; the dominance memo stays valid for
+    /// the same reason. A `t` at or before the origin is a no-op.
+    pub fn advance_origin(&mut self, t: SimTime) {
+        if t <= self.origin() {
+            return;
+        }
+        let (c, i) = self.seg_pos(t);
+        if c > 0 {
+            self.n_points -= (0..c).map(|k| self.chunk(k).len as usize).sum::<usize>();
+            self.drop_chunks(0, c);
+        }
+        let ch = self.chunk_mut(0);
+        let len = ch.len as usize;
+        ch.times.copy_within(i..len, 0);
+        ch.frees.copy_within(i..len, 0);
+        ch.len -= i as u32;
+        ch.times[0] = t;
+        self.n_points -= i;
+        self.first_time[0] = t;
+        self.assert_invariants();
+    }
+
+    /// Whether `self`, raised by `width` free processors on `[from, end)`
+    /// for every `(end, width)` of `raised` (sorted by `end`), is the same
+    /// step function as `other` on `[from, ∞)`, on the same machine. One
+    /// merge walk over both point lists and `raised`, comparing values,
+    /// so redundant break points on either side do not matter.
+    pub fn same_from(&self, other: &Profile, from: SimTime, raised: &[(SimTime, u32)]) -> bool {
+        if self.capacity != other.capacity {
+            return false;
+        }
+        let mut a = PointCursor::after(self, from);
+        let mut b = PointCursor::after(other, from);
+        let mut r = raised.partition_point(|&(end, _)| end <= from);
+        let mut extra: u32 = raised[r..].iter().map(|&(_, width)| width).sum();
+        while a.free + extra == b.free {
+            let tr = raised.get(r).map_or(SimTime::MAX, |&(end, _)| end);
+            // Fast path: both walks share their next break points.
+            let shared = a
+                .times
+                .iter()
+                .zip(a.frees)
+                .zip(b.times.iter().zip(b.frees))
+                .take_while(|((ta, fa), (tb, fb))| ta == tb && **ta < tr && **fa + extra == **fb)
+                .count();
+            if shared > 0 {
+                a.skip(shared);
+                b.skip(shared);
+                continue;
+            }
+            let t = a.next_time().min(b.next_time()).min(tr);
+            if t == SimTime::MAX {
+                return true;
+            }
+            a.advance_to(t);
+            b.advance_to(t);
+            while r < raised.len() && raised[r].0 == t {
+                extra -= raised[r].1;
+                r += 1;
+            }
+        }
+        false
+    }
+
     /// Whether chunk position `c`'s summary bounds its points:
     /// `min_free[c] <= free <= max_free[c]` for every point.
     #[cfg(any(test, debug_assertions))]
@@ -888,6 +1120,66 @@ impl Profile {
                 );
             }
         }
+    }
+}
+
+/// A forward walk over a profile's break points for [`Profile::same_from`]:
+/// the free value in force, and the rest of the current chunk.
+struct PointCursor<'a> {
+    profile: &'a Profile,
+    /// Free processors of the segment the walk is in.
+    free: u32,
+    /// Chunk position of `times` / `frees`.
+    c: usize,
+    /// The current chunk's points after the segment the walk is in.
+    times: &'a [SimTime],
+    frees: &'a [u32],
+}
+
+impl<'a> PointCursor<'a> {
+    /// Positioned in the segment containing `t`.
+    fn after(profile: &'a Profile, t: SimTime) -> Self {
+        let (c, i) = profile.seg_pos(t);
+        let ch = profile.chunk(c);
+        let mut cursor = PointCursor {
+            profile,
+            free: ch.frees[i],
+            c,
+            times: &ch.times()[i + 1..],
+            frees: &ch.frees()[i + 1..],
+        };
+        cursor.refill();
+        cursor
+    }
+
+    /// Moves to the next chunk when the current one is used up.
+    fn refill(&mut self) {
+        if self.times.is_empty() && self.c + 1 < self.profile.n_chunks() {
+            self.c += 1;
+            let ch = self.profile.chunk(self.c);
+            self.times = ch.times();
+            self.frees = ch.frees();
+        }
+    }
+
+    /// Time of the next break point, `SimTime::MAX` past the end.
+    fn next_time(&self) -> SimTime {
+        self.times.first().copied().unwrap_or(SimTime::MAX)
+    }
+
+    /// Enters the segment starting at `t` if the next point is there.
+    fn advance_to(&mut self, t: SimTime) {
+        if self.next_time() == t {
+            self.skip(1);
+        }
+    }
+
+    /// Enters the segment of the `k`-th next point of the current chunk.
+    fn skip(&mut self, k: usize) {
+        self.free = self.frees[k - 1];
+        self.times = &self.times[k..];
+        self.frees = &self.frees[k..];
+        self.refill();
     }
 }
 
@@ -1291,7 +1583,179 @@ mod tests {
         );
     }
 
+    #[test]
+    fn release_undoes_an_allocation_point_for_point() {
+        let mut p = Profile::new(10, t(0));
+        p.allocate(t(0), d(100), 3);
+        let before = p.to_points();
+        p.allocate(t(20), d(30), 4);
+        p.allocate(t(200), d(10), 10);
+        p.release(t(20), d(30), 4);
+        p.release(t(200), d(10), 10);
+        assert_eq!(p.to_points(), before, "release must merge its break points");
+        // Releasing everything leaves the bare origin point.
+        p.release(t(0), d(100), 3);
+        assert_eq!(p.to_points(), Profile::new(10, t(0)).to_points());
+    }
+
+    #[test]
+    fn release_keeps_points_other_spans_still_need() {
+        let mut p = Profile::new(8, t(0));
+        p.allocate(t(0), d(50), 2);
+        p.allocate(t(10), d(40), 3);
+        p.release(t(10), d(40), 3);
+        // The point at 50 closes the first span and must survive.
+        assert_eq!(
+            p.to_points(),
+            vec![
+                ProfilePoint {
+                    time: t(0),
+                    free: 6
+                },
+                ProfilePoint {
+                    time: t(50),
+                    free: 8
+                },
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overrelease")]
+    fn release_panics_on_a_span_that_was_never_allocated() {
+        let mut p = Profile::new(4, t(0));
+        p.allocate(t(0), d(10), 2);
+        p.release(t(5), d(10), 2);
+    }
+
+    #[test]
+    fn advance_origin_keeps_the_future_and_drops_the_past() {
+        let capacity = 64;
+        let mut p = Profile::new(capacity, t(0));
+        let mut oracle = NaiveProfile::new(capacity, t(0));
+        for k in 0..300u64 {
+            p.allocate(t(20 * k), d(10), 63);
+            oracle.allocate(t(20 * k), d(10), 63);
+        }
+        let chunks = p.n_chunks();
+        p.advance_origin(t(3_005));
+        assert_eq!(p.origin(), t(3_005));
+        assert!(
+            p.n_chunks() < chunks,
+            "whole chunks before the origin must go"
+        );
+        assert_eq!(p.len(), p.to_points().len());
+        assert_bounded(&p);
+        for probe in (3_005..6_100).step_by(5) {
+            assert_eq!(p.free_at(t(probe)), oracle.free_at(t(probe)));
+            assert_eq!(
+                p.earliest_fit(t(probe), d(15), 2),
+                oracle.earliest_fit(t(probe), d(15), 2)
+            );
+        }
+        // Splits after the advance reuse the dropped chunks' slots.
+        let arena = p.arena.len();
+        for k in 0..200u64 {
+            p.allocate(t(3_010 + 20 * k), d(5), 1);
+        }
+        assert_eq!(p.arena.len(), arena, "splits must reuse spare slots");
+        assert_bounded(&p);
+    }
+
+    #[test]
+    fn same_from_compares_step_functions_not_point_lists() {
+        let mut a = Profile::new(8, t(0));
+        a.allocate(t(10), d(10), 2);
+        a.allocate(t(20), d(10), 2); // redundant point at 20 in `a`
+        let mut b = Profile::new(8, t(5));
+        b.allocate(t(10), d(20), 2);
+        assert!(a.same_from(&b, t(5), &[]));
+        assert!(b.same_from(&a, t(12), &[]));
+        b.allocate(t(40), d(1), 1);
+        assert!(!a.same_from(&b, t(0), &[]));
+        assert!(
+            !a.same_from(&Profile::new(9, t(0)), t(100), &[]),
+            "capacities differ"
+        );
+        // Differences before `from` do not count.
+        let mut c = a.clone();
+        c.allocate(t(0), d(5), 8);
+        assert!(c.same_from(&a, t(5), &[]));
+        assert!(!c.same_from(&a, t(4), &[]));
+        // Raised spans from `from` on: `c` minus [12, 25) x 3 and
+        // [12, 40) x 1, raised back, is `a` again.
+        c.allocate(t(12), d(13), 3);
+        c.allocate(t(12), d(28), 1);
+        assert!(!c.same_from(&a, t(12), &[]));
+        assert!(c.same_from(&a, t(12), &[(t(25), 3), (t(40), 1)]));
+        assert!(!c.same_from(&a, t(12), &[(t(25), 3), (t(41), 1)]));
+        // Spans that ended by `from` raise nothing.
+        assert!(a.same_from(&a, t(30), &[(t(30), 5)]));
+    }
+
     proptest! {
+        /// `release` against the oracle: random interleavings of
+        /// allocations and releases of live spans keep the indexed
+        /// profile equal, as a step function, to the oracle swept from
+        /// the live spans; every chunk summary keeps bounding its points;
+        /// fits agree; and allocate-then-release of the same span
+        /// restores the step function and the point count it started
+        /// from.
+        #[test]
+        fn release_matches_the_oracle_and_restores_the_profile(
+            ops in proptest::collection::vec(
+                (0u8..10, 1u32..17, 0u64..4_000, 1u64..700),
+                50..300,
+            ),
+            origin in 0u64..50,
+        ) {
+            let capacity = 16u32;
+            let mut p = Profile::new(capacity, t(origin));
+            let mut live: Vec<(SimTime, SimTime, u32)> = Vec::new();
+            let mut scratch = Vec::new();
+            let mut oracle = NaiveProfile::new(capacity, t(origin));
+            for (kind, w, after, dur) in ops {
+                match kind {
+                    0..=5 => {
+                        let a = p.allocate_earliest(t(after), d(dur), w);
+                        live.push((a, a.saturating_add(d(dur)), w));
+                    }
+                    6 | 7 if !live.is_empty() => {
+                        let (s, e, w) = live.swap_remove(after as usize % live.len());
+                        p.release(s, e.saturating_since(s), w);
+                    }
+                    _ => {
+                        let before = p.clone();
+                        let a = p.earliest_fit(t(after), d(dur), w);
+                        p.allocate(a, d(dur), w);
+                        p.release(a, d(dur), w);
+                        prop_assert!(p.same_from(&before, t(origin), &[]));
+                        prop_assert_eq!(p.len(), before.len());
+                    }
+                }
+                oracle.rebuild_from_spans(capacity, t(origin), &live, &mut scratch);
+                for pt in oracle.points().iter().chain(p.to_points().iter()) {
+                    prop_assert_eq!(p.free_at(pt.time), oracle.free_at(pt.time));
+                }
+                for c in 0..p.n_chunks() {
+                    prop_assert!(
+                        p.bounds_hold(c),
+                        "summary [{}, {}] does not bound chunk {}: {:?}",
+                        p.min_free[c], p.max_free[c], c, p.chunk(c).frees()
+                    );
+                }
+                prop_assert_eq!(
+                    p.earliest_fit(t(after), d(dur), w),
+                    oracle.earliest_fit(t(after), d(dur), w)
+                );
+            }
+            // Releasing every live span returns the bare machine.
+            for (s, e, w) in live.drain(..) {
+                p.release(s, e.saturating_since(s), w);
+            }
+            prop_assert_eq!(p.to_points(), Profile::new(capacity, t(origin)).to_points());
+        }
+
         /// Random allocate_earliest sequences never violate profile
         /// invariants and always place each reservation at a feasible,
         /// minimal start.

@@ -721,20 +721,24 @@ fn handle_command(
             });
         }
         Command::Cancel(job, reply) => {
-            let found = match core.cancel_waiting(JobId(job)) {
-                Some(_) => {
-                    svc.counters.cancelled += 1;
-                    let stamp = src.now();
-                    if let Some(writer) = svc.journal.as_mut() {
-                        let appended = writer
-                            .append_cancel(stamp, job)
-                            .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-                        svc.after_append(appended.rotated, core, scheduler, src);
-                    }
-                    true
+            // Only a waiting job cancels. Like a submission (see `admit`),
+            // the accepted cancel is journaled before the withdrawal
+            // mutates any state; a refused one appends nothing.
+            let found = core.state().waiting().iter().any(|j| j.id == JobId(job));
+            if found {
+                let mut rotated = false;
+                if let Some(writer) = svc.journal.as_mut() {
+                    let appended = writer
+                        .append_cancel(src.now(), job)
+                        .unwrap_or_else(|e| panic!("journal append failed: {e}"));
+                    rotated = appended.rotated;
                 }
-                None => false,
-            };
+                core.cancel_waiting(JobId(job));
+                svc.counters.cancelled += 1;
+                if svc.journal.is_some() {
+                    svc.after_append(rotated, core, scheduler, src);
+                }
+            }
             let _ = reply.send(Reply::Cancelled { job, found });
         }
         Command::Status(reply) => {

@@ -12,7 +12,9 @@
 //! * **planner** — microbenchmark of one self-tuning step's planning work
 //!   (3 policy plans over the same base profile) comparing the incremental
 //!   planner (shared base, watermark restore) against the from-scratch
-//!   reference, across queue depths and running-set sizes;
+//!   reference, across queue depths and running-set sizes, plus one row
+//!   that steps a deep queue through a streak of submissions so the
+//!   persistent per-policy plans re-place only what each one perturbs;
 //! * **end_to_end** — full simulations of dynP (3 candidate policies,
 //!   advanced decider) per grid cell, incremental vs the from-scratch
 //!   reference mode, with wall time, events/sec, an allocation-count
@@ -28,7 +30,8 @@ use dynp_core::{try_resolve_planner_threads, DeciderKind, DynPConfig, SelfTuning
 use dynp_des::{SimDuration, SimTime};
 use dynp_obs::Tracer;
 use dynp_rms::{
-    AdmissionConfig, PlanTiming, Planner, Policy, ReferencePlanner, RunningJob, PARALLEL_MIN_DEPTH,
+    AdmissionConfig, PlanTiming, Planner, Policy, QueueChange, QueueDelta, ReferencePlanner,
+    RunningJob, PARALLEL_MIN_DEPTH,
 };
 use dynp_sim::{run_federation, simulate_chaos, ClusterSpec, FederationConfig, RoutePolicy};
 use dynp_workload::{
@@ -227,7 +230,6 @@ fn planner_report(out_dir: &std::path::Path, quick: bool, threads: usize) {
             1
         };
         let mut planner = Planner::new();
-        let mut schedules = vec![Default::default(); Policy::BASIC.len()];
         let mut timings = vec![PlanTiming::default(); Policy::BASIC.len()];
 
         // Reference: three from-scratch plans, each copying the unsorted
@@ -243,7 +245,16 @@ fn planner_report(out_dir: &std::path::Path, quick: bool, threads: usize) {
             || {
                 for _ in 0..inner {
                     planner.prepare(machine, now, &running, &[]);
-                    planner.plan_prepared_batch(&orders, &mut schedules, &mut timings, workers);
+                    // No queue delta: every step plans all three
+                    // policies from the base.
+                    planner.plan_prepared_batch(
+                        &Policy::BASIC,
+                        &orders,
+                        None,
+                        &mut timings,
+                        workers,
+                        0,
+                    );
                 }
             },
             || {
@@ -278,6 +289,8 @@ fn planner_report(out_dir: &std::path::Path, quick: bool, threads: usize) {
         );
     }
 
+    rows.push(submission_streak_row(quick, threads));
+
     write_report(
         &out_dir.join("BENCH_planner.json"),
         &[
@@ -291,6 +304,121 @@ fn planner_report(out_dir: &std::path::Path, quick: bool, threads: usize) {
         ],
         &rows,
     );
+}
+
+/// The planner row for persistent per-policy plans: a queue of 1024 jobs
+/// (64 running, none overdue) takes a streak of 32 submissions at one
+/// instant, and every step plans the three policies — incrementally as
+/// the self-tuning step does (binary-insert the new job into each policy
+/// order, then a batch with the step's queue delta, so each policy keeps
+/// the prefix before the new job and re-places the rest), against three
+/// from-scratch reference plans per step. Each sample replays the whole
+/// streak from the same planned queue; only the streak is timed.
+fn submission_streak_row(quick: bool, threads: usize) -> Row {
+    const DEPTH: usize = 1024;
+    const STREAK: usize = 32;
+    let reps = if quick { 3 } else { 21 };
+    let now = SimTime::from_secs(100_000);
+    let jobs = transform::shrink(&traces::kth().generate(DEPTH + STREAK, 7), 1.0).into_jobs();
+    let (queue, arrivals) = jobs.split_at(DEPTH);
+    let queue: Vec<Job> = queue
+        .iter()
+        .map(|&j| Job {
+            submit: SimTime::ZERO,
+            ..j
+        })
+        .collect();
+    let arrivals: Vec<Job> = arrivals.iter().map(|&j| Job { submit: now, ..j }).collect();
+    let running: Vec<RunningJob> = running_set(64)
+        .into_iter()
+        .map(|r| RunningJob {
+            start: now - SimDuration::from_secs(r.start.as_millis() / 1000),
+            ..r
+        })
+        .collect();
+    let machine = machine_for(&running);
+    let orders: Vec<Vec<Job>> = Policy::BASIC
+        .iter()
+        .map(|p| {
+            let mut q = queue.clone();
+            p.sort_queue(&mut q);
+            q
+        })
+        .collect();
+    let changes: Vec<QueueChange> = arrivals.iter().map(|&j| QueueChange::Entered(j)).collect();
+
+    let mut planner = Planner::new();
+    let mut timings = vec![PlanTiming::default(); Policy::BASIC.len()];
+    let mut reference = ReferencePlanner::new();
+    let mut queue_buf = Vec::new();
+    let mut workers = 1;
+    let (mut inc, mut refr) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        let mut step_orders = orders.clone();
+        planner.prepare(machine, now, &running, &[]);
+        planner.plan_prepared_batch(&Policy::BASIC, &step_orders, None, &mut timings, 1, 0);
+        let t0 = Instant::now();
+        for (k, job) in arrivals.iter().enumerate() {
+            for (policy, order) in Policy::BASIC.iter().zip(&mut step_orders) {
+                let pos = order.partition_point(|probe| policy.cmp_jobs(probe, job).is_lt());
+                order.insert(pos, *job);
+            }
+            planner.prepare(machine, now, &running, &[]);
+            let delta = QueueDelta {
+                changes: &changes[k..k + 1],
+                running: &running,
+            };
+            workers = planner
+                .plan_prepared_batch(
+                    &Policy::BASIC,
+                    &step_orders,
+                    Some(delta),
+                    &mut timings,
+                    threads,
+                    PARALLEL_MIN_DEPTH,
+                )
+                .0;
+        }
+        inc.push(t0.elapsed().as_nanos() as u64 / STREAK as u64);
+        let t0 = Instant::now();
+        for k in 1..=STREAK {
+            for policy in Policy::BASIC {
+                queue_buf.clear();
+                queue_buf.extend_from_slice(&queue);
+                queue_buf.extend_from_slice(&arrivals[..k]);
+                policy.sort_queue(&mut queue_buf);
+                std::hint::black_box(reference.plan(machine, now, &running, &queue_buf));
+            }
+        }
+        refr.push(t0.elapsed().as_nanos() as u64 / STREAK as u64);
+        for (i, (policy, order)) in Policy::BASIC.iter().zip(&step_orders).enumerate() {
+            let want = reference.plan(machine, now, &running, order);
+            assert_eq!(
+                planner.planned(i).entries,
+                want.entries,
+                "{policy} streak plan diverged from the reference"
+            );
+        }
+    }
+    inc.sort_unstable();
+    refr.sort_unstable();
+    let (inc_ns, ref_ns) = (inc[reps / 2], refr[reps / 2]);
+    let speedup = ref_ns as f64 / inc_ns.max(1) as f64;
+    println!(
+        "planner depth={DEPTH} running=64 submission streak of {STREAK}: incremental {:.3} ms, reference {:.3} ms per step, speedup {speedup:.2}x",
+        inc_ns as f64 / 1e6,
+        ref_ns as f64 / 1e6,
+    );
+    Row(Vec::new())
+        .int("queue_depth", DEPTH as u64)
+        .int("running_jobs", 64)
+        .str("mode", "submission_streak")
+        .int("streak", STREAK as u64)
+        .int("threads", workers as u64)
+        .int("reps", reps as u64)
+        .int("incremental_ns_per_step", inc_ns)
+        .int("reference_ns_per_step", ref_ns)
+        .num("speedup", speedup)
 }
 
 /// The end-to-end grid: full dynP simulations, incremental vs reference.
@@ -349,10 +477,11 @@ fn end_to_end_report(out_dir: &std::path::Path, quick: bool, threads: usize) {
                 d.result.events,
                 allocations() - before,
                 d.result.metrics.sldwa,
+                s.plan_work,
             )
         };
-        let (events, inc_allocs, inc_sldwa) = warm(false);
-        let (_, ref_allocs, ref_sldwa) = warm(true);
+        let (events, inc_allocs, inc_sldwa, work) = warm(false);
+        let (_, ref_allocs, ref_sldwa, _) = warm(true);
         let timed = |reference: bool| {
             let mut s = SelfTuningScheduler::new(config.clone());
             s.set_reference_mode(reference);
@@ -383,9 +512,12 @@ fn end_to_end_report(out_dir: &std::path::Path, quick: bool, threads: usize) {
             let _ = write!(tags, " mtbf={mtbf}s");
         }
         println!(
-            "{trace}@{factor}{tags} jobs={jobs}: incremental {:.2} ms, reference {:.2} ms, speedup {speedup:.2}x, allocs {inc_allocs} vs {ref_allocs}",
+            "{trace}@{factor}{tags} jobs={jobs}: incremental {:.2} ms, reference {:.2} ms, speedup {speedup:.2}x, allocs {inc_allocs} vs {ref_allocs}, plan work placed {} reused {} released {}",
             inc_ns as f64 / 1e6,
             ref_ns as f64 / 1e6,
+            work.placed,
+            work.reused,
+            work.released,
         );
         rows.push(
             Row(Vec::new())

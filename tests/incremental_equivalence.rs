@@ -8,6 +8,7 @@
 //! trace models — and demand exact equality.
 
 use dynp_suite::prelude::*;
+use dynp_suite::rms::{PlanWork, Planner};
 use dynp_suite::sim::simulate_with_reservations;
 use dynp_suite::workload::{traces, transform, FaultModel, FaultPlan};
 use proptest::prelude::*;
@@ -291,4 +292,227 @@ fn incremental_run_is_deterministic() {
         assert_eq!(active1, active2);
     }
     assert!(stats1.decisions > 0);
+}
+
+/// Drives one random event sequence straight through the scheduler
+/// interface, with the persistent per-policy plans on the edges of their
+/// reuse guard: submissions and completions at the same instant,
+/// running jobs overdue inside the running pad (time stops exactly at
+/// an estimated end before the completion is processed), reservation
+/// windows that open between two events, cancels (withdrawn without a
+/// replan) and migrations (withdrawn with one) in the middle of the
+/// queue, and over-wide jobs while nodes are down. At every replan the
+/// incremental scheduler, a copy restored mid-run from a snapshot into a
+/// fresh instance, and the from-scratch reference must return the same
+/// schedule, statistics and active policy.
+///
+/// Each op is `(kind, a, b, c)`; time only moves forward and never past
+/// the next completion, so every completion fires exactly at its end.
+fn drive_guard_edges(ops: &[(u8, u64, u64, u32)], config: &DynPConfig) -> PlanWork {
+    let machine = 8u32;
+    let fresh = || {
+        // Thread count from `DYNP_PLANNER_THREADS` or the host; depth 0
+        // so the fan-out runs whenever more than one worker resolves.
+        let mut s = SelfTuningScheduler::new(config.clone());
+        s.set_parallel_min_depth(0);
+        s
+    };
+    let mut incremental = fresh();
+    let mut restored = fresh();
+    let mut reference = SelfTuningScheduler::new(config.clone());
+    reference.set_reference_mode(true);
+    let mut state = RmsState::new(machine);
+    let mut probe = Planner::new();
+    let mut now = SimTime::ZERO;
+    let mut next_id = 0u32;
+    for (step, &(kind, a, b, c)) in ops.iter().enumerate() {
+        let next_end = state.running().iter().map(|r| r.actual_end()).min();
+        let advance = |now: SimTime, secs: u64| {
+            let t = now + SimDuration::from_secs(secs);
+            next_end.map_or(t, |end| t.min(end))
+        };
+        let pick = |n: usize| a as usize % n.max(1);
+        let reason = match kind % 10 {
+            0..=2 => {
+                // Every fourth submission lands at the current instant.
+                now = advance(now, if a % 4 == 0 { 0 } else { a % 40 });
+                let estimate = 1 + b % 300;
+                let actual = if b % 3 == 0 {
+                    estimate
+                } else {
+                    1 + b % estimate
+                };
+                state.submit(Job::new(
+                    JobId(next_id),
+                    now,
+                    1 + c % machine,
+                    SimDuration::from_secs(estimate),
+                    SimDuration::from_secs(actual),
+                ));
+                next_id += 1;
+                ReplanReason::Submission
+            }
+            3 => {
+                let Some(run) = state
+                    .running()
+                    .iter()
+                    .min_by_key(|r| (r.actual_end(), r.job.id))
+                    .copied()
+                else {
+                    continue;
+                };
+                now = run.actual_end();
+                state.complete(run.job.id, now);
+                ReplanReason::Completion
+            }
+            4 | 5 => {
+                if state.waiting().is_empty() {
+                    continue;
+                }
+                let id = state.waiting()[pick(state.waiting().len())].id;
+                state.withdraw(id);
+                if kind % 10 == 4 {
+                    // A cancel withdraws without replanning.
+                    continue;
+                }
+                ReplanReason::Submission
+            }
+            6 => {
+                now = advance(now, a % 20);
+                state.expire_reservations(now);
+                let start = now + SimDuration::from_secs(b % 40);
+                let duration = SimDuration::from_secs(10 + u64::from(c) % 100);
+                let width = 1 + (a as u32) % machine;
+                probe.prepare(
+                    state.plan_capacity(),
+                    now,
+                    state.running(),
+                    state.reservation_slice(),
+                );
+                if !probe.window_fits(start, duration, width) {
+                    continue;
+                }
+                state.admit_reservation(start, duration, width);
+                ReplanReason::Reservation
+            }
+            7 => {
+                let node = pick(machine as usize) as u32;
+                if state.is_node_down(node) || state.down_nodes() + 2 > machine {
+                    continue;
+                }
+                if let Some(id) = state.node_down(node) {
+                    let run = state.fail(id, now);
+                    state.resubmit(run.job);
+                }
+                state.repair_reservations(now);
+                ReplanReason::Fault
+            }
+            8 => {
+                let Some(node) = (0..machine).find(|&n| state.is_node_down(n)) else {
+                    continue;
+                };
+                state.node_up(node);
+                ReplanReason::Fault
+            }
+            _ => {
+                let snap = restored.snapshot().expect("dynP snapshots");
+                restored = fresh();
+                restored.restore(&snap);
+                continue;
+            }
+        };
+        let want = reference.replan(&state, now, reason);
+        for (name, s) in [
+            ("incremental", &mut incremental),
+            ("restored", &mut restored),
+        ] {
+            let got = s.replan(&state, now, reason);
+            assert_eq!(
+                got.entries, want.entries,
+                "{name} schedule, step {step} at {now:?}"
+            );
+            assert_eq!(s.stats, reference.stats, "{name} stats, step {step}");
+            assert_eq!(
+                s.active_policy(),
+                reference.active_policy(),
+                "{name}, step {step}"
+            );
+        }
+        let due: Vec<JobId> = want.due(now).map(|e| e.job.id).collect();
+        for id in due {
+            state.start(id, now);
+        }
+    }
+    incremental.plan_work
+}
+
+proptest! {
+    /// The guard-edge event sequences of [`drive_guard_edges`] under
+    /// every decider and both decide-on variants.
+    #[test]
+    fn persistent_plans_equal_reference_on_guard_edges(
+        ops in proptest::collection::vec((0u8..10, 0u64..1_000, 0u64..1_000, 0u32..100), 1..150),
+        decider_pick in 0u8..3,
+        submissions_only in 0u8..2,
+    ) {
+        let decider = match decider_pick {
+            0 => DeciderKind::Simple,
+            1 => DeciderKind::Advanced,
+            _ => DeciderKind::Preferred { policy: Policy::Ljf, threshold: 0.05 },
+        };
+        let mut config = DynPConfig::paper(decider);
+        if submissions_only == 1 {
+            config.decide_on = DecideOn::SubmissionsOnly;
+        }
+        drive_guard_edges(&ops, &config);
+    }
+}
+
+/// The guard-edge driver reaches the reuse path: on a long submission-
+/// heavy sequence the persistent plans keep and release entries.
+#[test]
+fn guard_edge_driver_exercises_reuse_and_release() {
+    let ops: Vec<(u8, u64, u64, u32)> = (0..400u64)
+        .map(|i| {
+            let kind = [0u8, 1, 2, 0, 3, 5, 0, 6, 1, 4, 2, 9, 0, 7, 1, 8][i as usize % 16];
+            (
+                kind,
+                (i * 7919) % 1_000,
+                (i * 104_729) % 1_000,
+                (i * 31) as u32 % 100,
+            )
+        })
+        .collect();
+    let work = drive_guard_edges(&ops, &DynPConfig::paper(DeciderKind::Advanced));
+    assert!(work.reused > 0 && work.released > 0, "{work:?}");
+}
+
+/// The plan-work counters on one seeded saturated trace-model cell
+/// (CTC at shrinking factor 0.7): pinned exactly, equal at every
+/// fan-out worker count, with more than a fifth of the per-policy
+/// entries a from-scratch step would place kept from the previous plan
+/// instead. The reference engine plans outside the batch and counts
+/// nothing.
+#[test]
+fn plan_work_counters_are_pinned_on_a_saturated_cell() {
+    let set = transform::shrink(&traces::ctc().generate(400, 1), 0.7);
+    let config = DynPConfig::paper(DeciderKind::Advanced);
+    for threads in THREAD_COUNTS {
+        let mut s = scheduler_with(&config, false, threads);
+        let _ = simulate_with_reservations(&set, &mut s, &[], AdmissionConfig::default());
+        let work = s.plan_work;
+        assert_eq!(
+            work,
+            PlanWork {
+                placed: 8_754,
+                reused: 3_540,
+                released: 376,
+            },
+            "{threads} planner threads"
+        );
+        assert!(work.reused * 5 >= work.placed + work.reused, "{work:?}");
+    }
+    let mut reference = scheduler_with(&config, true, 1);
+    let _ = simulate_with_reservations(&set, &mut reference, &[], AdmissionConfig::default());
+    assert_eq!(reference.plan_work, PlanWork::default());
 }

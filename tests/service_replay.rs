@@ -19,7 +19,8 @@
 
 use dynp_serve::{
     read_journal, recover, replay_records, replay_session, spawn, FsyncPolicy, JournalError,
-    QuotaConfig, RecoverError, ServiceConfig, ServiceHandle, ServiceReport, SubmitSpec,
+    JournalRecord, QuotaConfig, RecoverError, ServiceConfig, ServiceHandle, ServiceReport,
+    SubmitSpec,
 };
 use dynp_suite::prelude::*;
 use proptest::prelude::*;
@@ -200,6 +201,50 @@ fn sessions_with_cancels_replay_bit_identically() {
         "10 submits + 2 accepted cancels are journaled"
     );
     assert_session_matches_replay("cancel", &live, &dir, &spec);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The cancel path journals only what it withdraws: a cancel of a
+/// running job, or of a job already cancelled, appends nothing, while
+/// the accepted cancel of a job in the middle of the queue lands right
+/// after the submissions it follows and replays bit for bit.
+#[test]
+fn only_accepted_cancels_are_journaled_and_they_replay_exactly() {
+    let dir = temp_dir("cancel_order");
+    let spec = SchedulerSpec::dynp(DeciderKind::Advanced);
+    let machine = 8;
+    let (handle, join) = spawn(service_config(machine, spec.clone(), &dir)).unwrap();
+    let tickets: Vec<_> = (0..6)
+        .map(|i| {
+            handle
+                .submit(SubmitSpec {
+                    width: machine,
+                    estimate: SimDuration::from_secs(60 - 5 * i),
+                    actual: SimDuration::from_secs(40 - 5 * i),
+                    user: 0,
+                })
+                .unwrap()
+        })
+        .collect();
+    assert!(
+        !handle.cancel(tickets[0].job),
+        "running job must not cancel"
+    );
+    assert!(handle.cancel(tickets[3].job));
+    assert!(!handle.cancel(tickets[3].job), "a cancel applies once");
+    handle.shutdown();
+    let live = join.join().unwrap();
+    assert_eq!(live.cancelled, 1);
+    assert_eq!(live.run.completed.len(), 5);
+
+    let records = read_journal(&dir).unwrap().records;
+    assert_eq!(records.len(), 7, "6 submits + the one accepted cancel");
+    assert!(
+        matches!(records[6], JournalRecord::Cancel { job, .. } if job == tickets[3].job),
+        "the accepted cancel is the last record: {:?}",
+        records[6]
+    );
+    assert_session_matches_replay("cancel_order", &live, &dir, &spec);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
